@@ -9,14 +9,12 @@ raw-vs-reconstructed trade visible without any plotting stack.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from semimo.channel import SeedSpec, draw_channel_set
-from semimo.images import synthetic_test_image, write_pgm
-from semimo.inference import AffineContraction, SmoothingDenoiser, apply_operator
-from semimo.metrics import metric_report
-from semimo.precoding import mf_precoder, zf_precoder
-from semimo.transceiver import QamConstellation, split_bit_planes, transmit_frame
+from semimo.channel import SeedSpec
+from semimo.config import ExperimentConfig
+from semimo.images import write_pgm
+from semimo.inference import AffineContraction, SmoothingDenoiser
+from semimo.precoding import Scheme
+from semimo.sweeps import load_source, run_trial, score_frame
 
 
 def main() -> int:
@@ -27,33 +25,31 @@ def main() -> int:
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    clean = synthetic_test_image(args.size, args.size)
-    source = split_bit_planes(clean)
-    constellation = QamConstellation.square(4)
-    channel = draw_channel_set(16, 8, 0.0, SeedSpec(args.seed))
+    cfg = ExperimentConfig(image_width=args.size, image_height=args.size)
+    source = load_source(cfg)
+    clean = source.to_image()
     write_pgm(args.outdir / "clean.pgm", clean)
 
     operators = {
         "smooth": SmoothingDenoiser(strength=1.0),
-        "pull": AffineContraction(np.full(clean.shape, 128.0), 0.5),
+        "pull": AffineContraction(128.0, 0.5),
     }
     for snr_db in (0.0, 7.5, 15.0):
-        for name, build in (("mf", mf_precoder), ("zf", zf_precoder)):
-            result = transmit_frame(
-                source, channel, build(channel.h_known), 10 ** (snr_db / 10), 1.0,
-                constellation, SeedSpec(args.seed, int(snr_db * 10)),
+        for scheme in (Scheme.MF, Scheme.ZF):
+            # Every point reuses one channel draw; only the frame noise differs.
+            trial = run_trial(
+                cfg, scheme, snr_db, 0.0, source, SeedSpec(args.seed),
+                [SeedSpec(args.seed, int(snr_db * 10))],
             )
-            noisy = result.image()
-            tag = f"{name}_snr{snr_db:g}"
+            frame = trial.frames[0]
+            tag = f"{scheme.value}_snr{snr_db:g}"
+            scored = score_frame(frame.image(), clean, operators)
+            noisy, rep = scored.pop("identity")
             write_pgm(args.outdir / f"{tag}_received.pgm", noisy)
-            line = [f"{tag}: ber {result.ber.mean():.2e}"]
-            rep = metric_report(noisy, clean)
-            line.append(f"raw 1-ssim {rep.one_minus_ssim:.3f}")
-            for op_name, op in operators.items():
-                restored = apply_operator(op, noisy)
-                write_pgm(args.outdir / f"{tag}_{op_name}.pgm", restored)
-                rep = metric_report(restored, clean)
-                line.append(f"{op_name} 1-ssim {rep.one_minus_ssim:.3f}")
+            line = [f"{tag}: ber {frame.ber.mean():.2e}", f"raw 1-ssim {rep.one_minus_ssim:.3f}"]
+            for name, (restored, rep) in scored.items():
+                write_pgm(args.outdir / f"{tag}_{name}.pgm", restored)
+                line.append(f"{name} 1-ssim {rep.one_minus_ssim:.3f}")
             print("  ".join(line))
     print(f"images under {args.outdir}/")
     return 0

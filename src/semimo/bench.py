@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .precoding import Scheme, precoder_cost_probe
+from .precoding import Scheme, precoder_build_times, probe_channel
 
 __all__ = ["BenchRow", "BenchResult", "fit_loglog_slope", "run_complexity_bench", "write_bench_csv"]
 
@@ -40,26 +45,79 @@ def fit_loglog_slope(sizes, times) -> float:
     return float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
 
 
+# Thread counts that the common BLAS builds read when they load.
+_ONE_BLAS_THREAD = {
+    var: "1"
+    for var in (
+        "OPENBLAS_NUM_THREADS",
+        "OMP_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS",
+    )
+}
+_ROUNDS = 10
+_CHILD = (
+    "import json, sys; from semimo.bench import _probe_grid; "
+    "json.dump(_probe_grid(**json.load(sys.stdin)), sys.stdout)"
+)
+
+
+def _probe_grid(users, tx_ratio, repetitions, seed) -> dict[str, list[float]]:
+    """Median build seconds per scheme, one entry per user count.
+
+    The repetitions are split into up to ``_ROUNDS`` rounds that each visit
+    every size in turn, so a spell of contention from other processes falls on
+    the whole grid rather than on the few sizes probed while it lasts.
+    """
+    rounds = min(_ROUNDS, repetitions)
+    counts = [repetitions // rounds + (r < repetitions % rounds) for r in range(rounds)]
+    medians = {}
+    for scheme in (Scheme.MF, Scheme.ZF):
+        channels = [probe_channel(tx_ratio * n, n, seed) for n in users]
+        samples = [[] for _ in users]
+        for count in counts:
+            for h, taken in zip(channels, samples):
+                taken.extend(precoder_build_times(scheme, h, count))
+        medians[scheme.value] = [float(np.median(taken)) for taken in samples]
+    return medians
+
+
 def run_complexity_bench(cfg: ExperimentConfig) -> BenchResult:
     """Probe both schemes over the configured user-count grid.
 
     The antenna count tracks the user count via ``bench_tx_ratio`` so the
-    user dimension drives the scaling.
+    user dimension drives the scaling. The probes run in a child Python whose
+    BLAS is held to one thread: a thread pool that joins in only above some
+    matrix size speeds up the large end of the grid by up to the core count,
+    which flattens the fitted slope.
     """
+    request = {
+        "users": list(cfg.bench_users),
+        "tx_ratio": cfg.bench_tx_ratio,
+        "repetitions": cfg.bench_repetitions,
+        "seed": cfg.master_seed & 0xFFFFFFFF,
+    }
+    package_root = str(Path(__file__).resolve().parent.parent)
+    search_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=json.dumps(request),
+        capture_output=True,
+        text=True,
+        env={**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": search_path},
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"complexity probe exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
+        )
     rows: list[BenchRow] = []
     slopes: dict[str, float] = {}
-    for scheme in (Scheme.MF, Scheme.ZF):
-        sizes, medians = [], []
-        for n_users in cfg.bench_users:
+    for scheme, medians in json.loads(proc.stdout).items():
+        for n_users, median in zip(cfg.bench_users, medians):
             n_tx = cfg.bench_tx_ratio * n_users
-            median = precoder_cost_probe(
-                scheme, n_tx, n_users, repetitions=cfg.bench_repetitions,
-                seed=cfg.master_seed & 0xFFFFFFFF,
-            )
-            rows.append(BenchRow(scheme.value, n_users, n_tx, cfg.bench_repetitions, median))
-            sizes.append(n_users)
-            medians.append(median)
-        slopes[scheme.value] = fit_loglog_slope(sizes, medians)
+            rows.append(BenchRow(scheme, n_users, n_tx, cfg.bench_repetitions, median))
+        slopes[scheme] = fit_loglog_slope(cfg.bench_users, medians)
     return BenchResult(tuple(rows), slopes)
 
 

@@ -35,6 +35,17 @@ class SeedSpec:
         return np.random.default_rng(ss)
 
 
+def _check_sizes(n_tx: int, n_users: int, err_var: float) -> None:
+    if n_users < 1:
+        raise ValueError("need at least one user")
+    if n_tx < n_users:
+        raise ValueError(
+            f"n_tx={n_tx} < n_users={n_users}: the ZF Gram matrix would be singular"
+        )
+    if err_var < 0:
+        raise ValueError(f"err_var must be >= 0, got {err_var}")
+
+
 @dataclass(frozen=True)
 class ChannelSet:
     """True and transmitter-known channels for one realization.
@@ -53,15 +64,7 @@ class ChannelSet:
     err_var: float
 
     def __post_init__(self) -> None:
-        if self.n_users < 1:
-            raise ValueError("need at least one user")
-        if self.n_tx < self.n_users:
-            raise ValueError(
-                f"n_tx={self.n_tx} < n_users={self.n_users}: the ZF Gram matrix "
-                "would be singular"
-            )
-        if self.err_var < 0:
-            raise ValueError(f"err_var must be >= 0, got {self.err_var}")
+        _check_sizes(self.n_tx, self.n_users, self.err_var)
         shape = (self.n_tx, self.n_users)
         if self.h_true.shape != shape or self.h_known.shape != shape:
             raise ValueError(
@@ -105,15 +108,7 @@ def draw_channel_set(
     seed : SeedSpec
         Identifies the realization; equal seeds give bit-identical output.
     """
-    if n_users < 1:
-        raise ValueError("need at least one user")
-    if n_tx < n_users:
-        raise ValueError(
-            f"n_tx={n_tx} < n_users={n_users}: the ZF Gram matrix would be singular"
-        )
-    if err_var < 0:
-        raise ValueError(f"err_var must be >= 0, got {err_var}")
-
+    _check_sizes(n_tx, n_users, err_var)
     rng = seed.rng()
     shape = (n_tx, n_users)
     h_known = _complex_gaussian(rng, shape, 1.0 / n_tx)

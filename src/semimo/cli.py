@@ -7,15 +7,11 @@ import sys
 from pathlib import Path
 
 from .bench import run_complexity_bench, write_bench_csv
-from .channel import SeedSpec, draw_channel_set
-from .config import ConfigError, build_operator, load_config
-from .inference import apply_operator
-from .link import QamParams, ber_from_sinr, link_budget
-from .metrics import metric_report
+from .channel import SeedSpec
+from .config import ConfigError, build_operator, from_db, load_config
 from .images import write_pgm
-from .precoding import mf_precoder, zf_precoder
-from .sweeps import run_csi_error_sweep, run_snr_sweep
-from .transceiver import QamConstellation, split_bit_planes, transmit_frame
+from .precoding import Scheme
+from .sweeps import load_source, run_csi_error_sweep, run_snr_sweep, run_trial, score_frame
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,34 +40,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _reconstruct(cfg, out_path: Path) -> None:
-    image = cfg.source_image()
-    source = split_bit_planes(image)
-    err_db = cfg.recon_err_var_db
-    err_var = 0.0 if err_db == float("-inf") else 10.0 ** (err_db / 10.0)
-    channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, SeedSpec(cfg.master_seed))
-    build = zf_precoder if cfg.recon_scheme == "zf" else mf_precoder
-    precoder = build(channel.h_known)
-    tx_power = cfg.tx_power(cfg.fixed_snr_db)
-    result = transmit_frame(
-        source, channel, precoder, tx_power, cfg.noise_var,
-        QamConstellation.square(cfg.qam_order), SeedSpec(cfg.master_seed),
-        equalize_with_known_gain=cfg.equalize_with_known_gain,
+    source = load_source(cfg)
+    operator = build_operator(cfg.operator)
+    err_var = from_db(cfg.recon_err_var_db)
+    seed = SeedSpec(cfg.master_seed)
+    trial = run_trial(
+        cfg, Scheme(cfg.recon_scheme), cfg.fixed_snr_db, err_var, source, seed, [seed]
     )
-    noisy = result.image()
-    restored = apply_operator(build_operator(cfg.operator), noisy)
+    frame = trial.frames[0]
+    scored = score_frame(frame.image(), source.to_image(), {"operator": operator})
 
-    budget = link_budget(channel, precoder, tx_power, cfg.noise_var)
-    bers = ber_from_sinr(budget.sinr, QamParams(cfg.qam_order))
     received_path = out_path.with_name(out_path.stem + "_received" + out_path.suffix)
-    write_pgm(received_path, noisy)
-    write_pgm(out_path, restored)
+    write_pgm(received_path, scored["identity"][0])
+    write_pgm(out_path, scored["operator"][0])
 
     print(f"scheme={cfg.recon_scheme} snr_db={cfg.fixed_snr_db} err_var={err_var}")
-    print(f"analytic sinr per user: {' '.join(f'{g:.3f}' for g in budget.sinr)}")
-    print(f"analytic ber per stream: {' '.join(f'{b:.3e}' for b in bers)}")
-    print(f"empirical ber per stream: {' '.join(f'{b:.3e}' for b in result.ber)}")
-    for label, img in (("identity", noisy), ("operator", restored)):
-        rep = metric_report(img, image)
+    print(f"analytic sinr per user: {' '.join(f'{g:.3f}' for g in trial.budget.sinr)}")
+    print(f"analytic ber per stream: {' '.join(f'{b:.3e}' for b in trial.bers)}")
+    print(f"empirical ber per stream: {' '.join(f'{b:.3e}' for b in frame.ber)}")
+    for label, (_, rep) in scored.items():
         print(
             f"{label}: mae={rep.mae:.5f} neg_psnr={rep.neg_psnr:.3f} "
             f"one_minus_ssim={rep.one_minus_ssim:.5f}"

@@ -14,12 +14,23 @@ from .inference import (
     IdentityOperator,
     SmoothingDenoiser,
 )
+from .link import square_qam_bits
+from .metrics import SSIM_WINDOW
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_operator"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_operator", "from_db", "to_db"]
 
 
 class ConfigError(ValueError):
     """Bad configuration file or values."""
+
+
+def from_db(db: float) -> float:
+    """Decibels to a linear ratio; -inf (perfect CSI on an error grid) gives 0."""
+    return 10.0 ** (db / 10.0)
+
+
+def to_db(value: float) -> float:
+    return 10.0 * np.log10(value) if value > 0 else float("-inf")
 
 
 def _snr_default() -> tuple[float, ...]:
@@ -74,8 +85,19 @@ class ExperimentConfig:
             raise ConfigError("trial counts must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if (
+            self.bench_repetitions < 1
+            or self.bench_tx_ratio < 1
+            or not self.bench_users
+            or min(self.bench_users) < 1
+        ):
+            raise ConfigError("bench sizes and repetitions must be >= 1")
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
+        try:
+            square_qam_bits(self.qam_order)
+        except ValueError as exc:
+            raise ConfigError(f"qam_order: {exc}") from exc
         if self.recon_scheme not in ("mf", "zf"):
             raise ConfigError(f"recon_scheme must be mf or zf, got {self.recon_scheme!r}")
         known_metrics = {"mae", "neg_psnr", "one_minus_ssim"}
@@ -86,64 +108,50 @@ class ExperimentConfig:
             )
 
     def tx_power(self, snr_db: float) -> float:
-        return self.noise_var * 10.0 ** (snr_db / 10.0)
+        return self.noise_var * from_db(snr_db)
 
     def source_image(self) -> np.ndarray:
-        if self.image == "synthetic":
-            return synthetic_test_image(self.image_width, self.image_height)
+        """The configured source image, at least one SSIM window on each side."""
         try:
-            return read_pgm(self.image)
+            if self.image == "synthetic":
+                image = synthetic_test_image(self.image_width, self.image_height)
+            else:
+                image = read_pgm(self.image)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load image {self.image!r}: {exc}") from exc
+        if min(image.shape) < SSIM_WINDOW:
+            raise ConfigError(
+                f"image {self.image!r} is {image.shape[1]}x{image.shape[0]}, smaller "
+                f"than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
+            )
+        return image
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(name: str, text: str, kind):
+def _split(item):
+    return lambda text: tuple(item(tok.strip()) for tok in text.split(","))
+
+
+# Parsers by annotation; with postponed annotations a field's type is its source text.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": lambda text: _BOOL_VALUES[text.lower()],
+    "tuple[float, ...]": _split(float),
+    "tuple[int, ...]": _split(int),
+    "tuple[str, ...]": _split(str),
+}
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+
+
+def _parse_value(name: str, text: str):
     try:
-        if kind == "tuple_float":
-            return tuple(float(tok) for tok in text.split(","))
-        if kind == "tuple_int":
-            return tuple(int(tok) for tok in text.split(","))
-        if kind == "tuple_str":
-            return tuple(tok.strip() for tok in text.split(","))
-        if kind is bool:
-            return _BOOL_VALUES[text.lower()]
-        return kind(text)
+        return _FIELD_PARSERS[name](text)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for {name}: {text!r}") from exc
-
-
-_FIELD_KINDS = {
-    "n_tx": int,
-    "n_users": int,
-    "qam_order": int,
-    "noise_var": float,
-    "snr_grid_db": "tuple_float",
-    "err_var_grid_db": "tuple_float",
-    "fixed_snr_db": float,
-    "n_channel_trials": int,
-    "n_frames": int,
-    "n_error_draws": int,
-    "operator": str,
-    "image": str,
-    "image_width": int,
-    "image_height": int,
-    "master_seed": int,
-    "workers": int,
-    "equalize_with_known_gain": bool,
-    "bench_users": "tuple_int",
-    "bench_tx_ratio": int,
-    "bench_repetitions": int,
-    "metric_set": "tuple_str",
-    "external_metric": str,
-    "output_path": str,
-    "recon_scheme": str,
-    "recon_err_var_db": float,
-}
-
-assert set(_FIELD_KINDS) == {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(path=None, **overrides) -> ExperimentConfig:
@@ -166,13 +174,13 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
                 raise ConfigError(f"{path!s}:{lineno}: expected key = value, got {raw!r}")
             name, _, value = line.partition("=")
             name = name.strip()
-            if name not in _FIELD_KINDS:
+            if name not in _FIELD_PARSERS:
                 raise ConfigError(f"{path!s}:{lineno}: unknown key {name!r}")
-            values[name] = _parse_value(name, value.strip(), _FIELD_KINDS[name])
+            values[name] = _parse_value(name, value.strip())
     for name, value in overrides.items():
         if value is None:
             continue
-        if name not in _FIELD_KINDS:
+        if name not in _FIELD_PARSERS:
             raise ConfigError(f"unknown config override {name!r}")
         values[name] = value
     try:
@@ -220,21 +228,8 @@ def build_operator(spec: str):
         factor = float(options.get("factor", "0.5"))
         anchor_spec = options.get("anchor", "flat:128")
         if anchor_spec.startswith("flat:"):
-            return _DeferredAffine(float(anchor_spec.split(":", 1)[1]), factor)
+            return AffineContraction(float(anchor_spec.split(":", 1)[1]), factor)
         return AffineContraction(read_pgm(anchor_spec), factor)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad operator spec {spec!r}: {exc}") from exc
 
-
-class _DeferredAffine:
-    """Affine contraction toward a flat anchor, sized on first use."""
-
-    def __init__(self, level: float, factor: float):
-        if not 0.0 <= factor <= 1.0:
-            raise ConfigError(f"affine factor must lie in [0, 1], got {factor}")
-        self.level = level
-        self.factor = factor
-
-    def __call__(self, image):
-        u = np.asarray(image, dtype=float)
-        return self.level + self.factor * (u - self.level)

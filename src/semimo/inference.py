@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .images import image_distance, read_pgm, write_pgm
+from .hooks import PgmHook
+from .images import image_distance
 from .link import QamParams
 
 __all__ = [
@@ -48,7 +45,7 @@ class AffineContraction:
 
     G(u) = anchor + factor * (u - anchor). Exactly ``factor``-Lipschitz with a
     closed-form bias, which makes it the calibration operator for bound
-    checks.
+    checks. A scalar anchor is a flat image that fits any image size.
     """
 
     def __init__(self, anchor, factor: float):
@@ -59,7 +56,7 @@ class AffineContraction:
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
         u = np.asarray(image, dtype=float)
-        if u.shape != self.anchor.shape:
+        if self.anchor.ndim and u.shape != self.anchor.shape:
             raise OperatorError(
                 f"image shape {u.shape} != anchor shape {self.anchor.shape}"
             )
@@ -67,7 +64,8 @@ class AffineContraction:
 
     def bias_at(self, clean, error_level: float = 0.0) -> float:
         """Closed-form bias: (1 - factor)*||clean - anchor|| + factor*error_level."""
-        return (1.0 - self.factor) * image_distance(clean, self.anchor) + (
+        anchor = np.broadcast_to(self.anchor, np.shape(clean))
+        return (1.0 - self.factor) * image_distance(clean, anchor) + (
             self.factor * error_level
         )
 
@@ -97,44 +95,21 @@ class SmoothingDenoiser:
         return (1.0 - w) * u + w * blurred
 
 
-class ExternalCommandOperator:
+class ExternalCommandOperator(PgmHook):
     """Shells out for reconstruction.
 
     The command template receives ``{in}`` and ``{out}`` placeholders
     substituted with PGM paths; exit code 0 plus a readable output image
-    signal success. Lets an actual restoration model run out of process.
+    signal success, and any failure raises OperatorError. Lets an actual
+    restoration model run out of process.
     """
 
-    def __init__(self, command_template: str, timeout: float = 600.0):
-        if "{in}" not in command_template or "{out}" not in command_template:
-            raise ValueError("command template must contain {in} and {out}")
-        self.command_template = command_template
-        self.timeout = timeout
+    placeholders = ("in", "out")
+    error = OperatorError
+    timeout = 600.0
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
-        with tempfile.TemporaryDirectory(prefix="semimo-op-") as tmp:
-            in_path = Path(tmp) / "in.pgm"
-            out_path = Path(tmp) / "out.pgm"
-            write_pgm(in_path, image)
-            cmd = self.command_template.format(**{"in": in_path, "out": out_path})
-            try:
-                proc = subprocess.run(
-                    shlex.split(cmd),
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                raise OperatorError(f"external command failed to run: {exc}") from exc
-            if proc.returncode != 0:
-                raise OperatorError(
-                    f"external command exited {proc.returncode}: "
-                    f"{proc.stderr.strip()[:500]}"
-                )
-            try:
-                result = read_pgm(out_path)
-            except (OSError, ValueError) as exc:
-                raise OperatorError(f"unusable output image: {exc}") from exc
+        _, result = self._run({"in": image}, output="out")
         return result.astype(float)
 
 

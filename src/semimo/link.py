@@ -15,11 +15,20 @@ __all__ = [
     "LinkBudget",
     "EmpiricalBudget",
     "q_function",
+    "square_qam_bits",
     "link_budget",
     "empirical_link_budget",
     "ber_from_sinr",
     "expected_distortion",
 ]
+
+
+def square_qam_bits(order: int) -> int:
+    """Bits per symbol of square M-QAM; rejects orders other than 4, 16, 64, ..."""
+    bits = int(order).bit_length() - 1
+    if order < 4 or order != 1 << bits or bits % 2:
+        raise ValueError(f"order must be 4, 16, 64, ... (square QAM), got {order}")
+    return bits
 
 
 @dataclass(frozen=True)
@@ -32,8 +41,7 @@ class QamParams:
 
     def __post_init__(self) -> None:
         m = self.order
-        if m < 4 or (m & (m - 1)) != 0 or int(np.log2(m)) % 2 != 0:
-            raise ValueError(f"order must be 4, 16, 64, ... (square QAM), got {m}")
+        square_qam_bits(m)
         object.__setattr__(self, "alpha", (4.0 / np.log2(m)) * (1.0 - 1.0 / np.sqrt(m)))
         object.__setattr__(self, "beta", float(np.sqrt(3.0 / (m - 1))))
 

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import uniform_filter
 
-from .images import image_distance, write_pgm
+from .hooks import PgmHook
+from .images import image_distance
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -158,41 +155,25 @@ class ExternalMetricError(RuntimeError):
     """The external metric command failed or printed something unusable."""
 
 
-class ExternalMetric:
+class ExternalMetric(PgmHook):
     """Out-of-process metric hook.
 
     The command template receives ``{test}`` and ``{ref}`` placeholders
     substituted with PGM file paths; it must exit 0 and print one real number
-    to standard output. This keeps learned metrics out of process while still
-    letting them score sweep outputs.
+    to standard output, and any failure raises ExternalMetricError. This keeps
+    learned metrics out of process while still letting them score sweep
+    outputs.
     """
 
-    def __init__(self, command_template: str, timeout: float = 120.0):
-        if "{test}" not in command_template or "{ref}" not in command_template:
-            raise ValueError("command template must contain {test} and {ref}")
-        self.command_template = command_template
-        self.timeout = timeout
+    placeholders = ("test", "ref")
+    error = ExternalMetricError
+    timeout = 120.0
 
     def __call__(self, test, ref) -> float:
-        with tempfile.TemporaryDirectory(prefix="semimo-metric-") as tmp:
-            test_path = Path(tmp) / "test.pgm"
-            ref_path = Path(tmp) / "ref.pgm"
-            write_pgm(test_path, test)
-            write_pgm(ref_path, ref)
-            cmd = self.command_template.format(test=test_path, ref=ref_path)
-            proc = subprocess.run(
-                shlex.split(cmd),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        if proc.returncode != 0:
-            raise ExternalMetricError(
-                f"metric command exited {proc.returncode}: {proc.stderr.strip()[:500]}"
-            )
+        stdout, _ = self._run({"test": test, "ref": ref})
         try:
-            return float(proc.stdout.strip().split()[-1])
+            return float(stdout.strip().split()[-1])
         except (IndexError, ValueError) as exc:
             raise ExternalMetricError(
-                f"metric command printed no number: {proc.stdout[:200]!r}"
+                f"metric command printed no number: {stdout[:200]!r}"
             ) from exc

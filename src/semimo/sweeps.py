@@ -1,30 +1,39 @@
-"""Grid sweeps over SNR and CSI error with per-cell seeding and CSV output."""
+"""The per-trial link chain, and grid sweeps over SNR and CSI error built on it."""
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .channel import SeedSpec, draw_channel_set
-from .config import ExperimentConfig, build_operator
+from .config import ConfigError, ExperimentConfig, build_operator, from_db, to_db
 from .inference import apply_operator
 from .link import (
+    EmpiricalBudget,
+    LinkBudget,
     QamParams,
     ber_from_sinr,
     empirical_link_budget,
     expected_distortion,
     link_budget,
 )
-from .metrics import SSIM_VARIANT, ExternalMetric, metric_report
+from .metrics import SSIM_VARIANT, ExternalMetric, MetricReport, metric_report
 from .precoding import Scheme, mf_precoder, zf_precoder
-from .transceiver import QamConstellation, split_bit_planes, transmit_frame
+from .transceiver import (
+    BitPlaneSource, FrameResult, QamConstellation, split_bit_planes, transmit_frame,
+)
 
 __all__ = [
     "CSV_COLUMNS",
+    "Trial",
     "cell_entropy",
+    "load_source",
+    "run_trial",
+    "score_frame",
     "run_snr_sweep",
     "run_csi_error_sweep",
     "write_csv",
@@ -64,8 +73,66 @@ def cell_entropy(master_seed: int, scheme: Scheme, snr_db: float, err_var: float
     return int.from_bytes(digest[:8], "big")
 
 
-def to_db(value: float) -> float:
-    return 10.0 * np.log10(value) if value > 0 else float("-inf")
+def load_source(cfg: ExperimentConfig) -> BitPlaneSource:
+    """The configured image as bit planes, one plane per user."""
+    if cfg.n_users != 8:
+        raise ConfigError(f"each of the 8 bit planes needs its own user: n_users is {cfg.n_users}")
+    return split_bit_planes(cfg.source_image())
+
+
+@dataclass(frozen=True)
+class Trial:
+    """One channel draw carried through precoder, analytic budget and frames."""
+
+    budget: LinkBudget
+    bers: np.ndarray  # analytic per-stream BER
+    frames: tuple[FrameResult, ...]
+    oracle: EmpiricalBudget | None
+
+
+def run_trial(
+    cfg: ExperimentConfig, scheme: Scheme, snr_db: float, err_var: float,
+    source: BitPlaneSource, channel_seed: SeedSpec, frame_seeds: list[SeedSpec],
+    oracle_seed: SeedSpec | None = None,
+) -> Trial:
+    """Draw a channel, precode, budget it, and send ``source`` once per frame seed.
+
+    With ``oracle_seed`` the Monte-Carlo interference oracle also runs over
+    ``cfg.n_error_draws`` fresh error draws.
+    """
+    tx_power = cfg.tx_power(snr_db)
+    channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, channel_seed)
+    precoder = _BUILDERS[scheme](channel.h_known)
+    budget = link_budget(channel, precoder, tx_power, cfg.noise_var)
+    bers = ber_from_sinr(budget.sinr, QamParams(cfg.qam_order))
+    oracle = None
+    if oracle_seed is not None:
+        oracle = empirical_link_budget(
+            channel, precoder, tx_power, cfg.noise_var, cfg.n_error_draws, oracle_seed
+        )
+    constellation = QamConstellation.square(cfg.qam_order)
+    frames = tuple(
+        transmit_frame(
+            source, channel, precoder, tx_power, cfg.noise_var, constellation, seed,
+            equalize_with_known_gain=cfg.equalize_with_known_gain,
+        )
+        for seed in frame_seeds
+    )
+    return Trial(budget, bers, frames, oracle)
+
+
+def score_frame(
+    noisy, clean, operators: dict, external: ExternalMetric | None = None
+) -> dict[str, tuple[np.ndarray, MetricReport]]:
+    """Score the received image ("identity") and each named operator's output.
+
+    Returns name -> (image, report), identity first.
+    """
+    scored = {"identity": (noisy, metric_report(noisy, clean, external))}
+    for name, operator in operators.items():
+        restored = apply_operator(operator, noisy)
+        scored[name] = (restored, metric_report(restored, clean, external))
+    return scored
 
 
 def _simulate_cell(
@@ -77,15 +144,14 @@ def _simulate_cell(
     source,
     operator,
     external,
-    with_error_oracle: bool,
 ) -> list[dict]:
-    """Simulate one (scheme, SNR, err_var) cell; one output row per recon."""
-    tx_power = cfg.tx_power(snr_db)
-    qam = QamParams(cfg.qam_order)
-    constellation = QamConstellation.square(cfg.qam_order)
+    """Simulate one (scheme, SNR, err_var) cell; one output row per recon.
+
+    A CSI cell also runs the Monte-Carlo interference oracle.
+    """
+    with_error_oracle = case == "csi"
     clean = source.to_image()
     entropy = cell_entropy(cfg.master_seed, scheme, snr_db, err_var)
-    build = _BUILDERS[scheme]
 
     gamma_sum = 0.0
     ber_analytic_sum = 0.0
@@ -98,37 +164,27 @@ def _simulate_cell(
     reports = {"identity": [], "operator": []}
 
     for trial in range(cfg.n_channel_trials):
-        channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, SeedSpec(entropy, trial))
-        precoder = build(channel.h_known)
-        budget = link_budget(channel, precoder, tx_power, cfg.noise_var)
-        bers = ber_from_sinr(budget.sinr, qam)
-        gamma_sum += float(budget.sinr.mean())
-        ber_analytic_sum += float(bers.mean())
-        i_precode_sum += float(budget.i_precode.mean())
-        distortion_sum += expected_distortion(bers, cfg.n_users)
-        if with_error_oracle:
-            oracle = empirical_link_budget(
-                channel, precoder, tx_power, cfg.noise_var,
-                cfg.n_error_draws, SeedSpec(entropy ^ 0x5EED, trial),
-            )
-            oracle_interference += float(oracle.interference.mean())
-            oracle_se_sq += float((oracle.interference_se**2).sum()) / cfg.n_users**2
-
-        for frame in range(cfg.n_frames):
-            frame_seed = SeedSpec(entropy, trial * cfg.n_frames + frame)
-            result = transmit_frame(
-                source, channel, precoder, tx_power, cfg.noise_var,
-                constellation, frame_seed,
-                equalize_with_known_gain=cfg.equalize_with_known_gain,
-            )
-            bit_errors += int(result.bit_errors.sum())
-            bits_total += result.bits_per_stream * cfg.n_users
-            noisy = result.image()
-            reports["identity"].append(metric_report(noisy, clean, external))
-            restored = apply_operator(operator, noisy)
-            reports["operator"].append(metric_report(restored, clean, external))
+        result = run_trial(
+            cfg, scheme, snr_db, err_var, source, SeedSpec(entropy, trial),
+            [SeedSpec(entropy, trial * cfg.n_frames + f) for f in range(cfg.n_frames)],
+            SeedSpec(entropy ^ 0x5EED, trial) if with_error_oracle else None,
+        )
+        gamma_sum += float(result.budget.sinr.mean())
+        ber_analytic_sum += float(result.bers.mean())
+        i_precode_sum += float(result.budget.i_precode.mean())
+        distortion_sum += expected_distortion(result.bers, cfg.n_users)
+        if result.oracle is not None:
+            oracle_interference += float(result.oracle.interference.mean())
+            oracle_se_sq += float((result.oracle.interference_se**2).sum()) / cfg.n_users**2
+        for frame in result.frames:
+            bit_errors += int(frame.bit_errors.sum())
+            bits_total += frame.bits_per_stream * cfg.n_users
+            scored = score_frame(frame.image(), clean, {"operator": operator}, external)
+            for recon, (_, report) in scored.items():
+                reports[recon].append(report)
 
     trials = cfg.n_channel_trials
+    tx_power = cfg.tx_power(snr_db)
     rows = []
     for recon in ("identity", "operator"):
         batch = reports[recon]
@@ -175,10 +231,9 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
     cell failure the completed rows are flushed with an error marker row
     appended before the exception propagates.
     """
-    source = split_bit_planes(cfg.source_image())
+    source = load_source(cfg)
     operator = build_operator(cfg.operator)
     external = ExternalMetric(cfg.external_metric) if cfg.external_metric else None
-    with_oracle = case == "csi"
 
     cells = [
         (snr_db, err_var, scheme)
@@ -188,9 +243,7 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
 
     def run(cell):
         snr_db, err_var, scheme = cell
-        return _simulate_cell(
-            cfg, case, scheme, snr_db, err_var, source, operator, external, with_oracle
-        )
+        return _simulate_cell(cfg, case, scheme, snr_db, err_var, source, operator, external)
 
     rows: list[dict] = []
     try:
@@ -224,8 +277,7 @@ def run_csi_error_sweep(cfg: ExperimentConfig, out_path=None) -> list[dict]:
     Each cell also carries a Monte-Carlo interference estimate over
     ``n_error_draws`` fresh error draws (returned-table columns only).
     """
-    grid = [(cfg.fixed_snr_db, 10.0 ** (db / 10.0) if db != float("-inf") else 0.0)
-            for db in cfg.err_var_grid_db]
+    grid = [(cfg.fixed_snr_db, from_db(db)) for db in cfg.err_var_grid_db]
     return _run_grid(cfg, "csi", grid, out_path)
 
 

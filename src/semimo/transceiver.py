@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, SeedSpec
+from .link import square_qam_bits
 from .precoding import Precoder
 
 __all__ = [
@@ -113,9 +114,7 @@ class QamConstellation:
 
     @classmethod
     def square(cls, order: int) -> "QamConstellation":
-        if order < 4 or (order & (order - 1)) != 0 or int(np.log2(order)) % 2 != 0:
-            raise ValueError(f"order must be 4, 16, 64, ... (square QAM), got {order}")
-        bits_per_symbol = int(np.log2(order))
+        bits_per_symbol = square_qam_bits(order)
         per_axis = bits_per_symbol // 2
         n_levels = 1 << per_axis
         raw = np.arange(-(n_levels - 1), n_levels, 2, dtype=float)
@@ -217,8 +216,10 @@ def transmit_frame(
     other stream through h_k^H f_j, plus noise. Detection divides by the
     per-user effective gain (true gain by default, transmitter-known gain
     when ``equalize_with_known_gain``) and slices to the nearest
-    constellation point. Noise comes in per-block substreams of ``seed``, so
-    the result is reproducible regardless of block size handling.
+    constellation point. Noise comes in per-block substreams of ``seed``: the
+    same seed and ``block_len`` always give the same result, but a frame
+    longer than ``block_len`` symbols gets different noise under a different
+    ``block_len``.
 
     A user whose effective gain magnitude falls below UNDETECTABLE_GAIN gets
     its plane zeroed and a BER of 0.5 assigned.

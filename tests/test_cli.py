@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from semimo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from semimo.images import read_pgm
+from semimo.images import read_pgm, write_pgm
 
 
 def write_small_config(tmp_path, extra=""):
@@ -79,6 +80,25 @@ def test_missing_image_is_config_error(tmp_path):
     cfg = write_small_config(tmp_path, extra="image = /nonexistent/input.pgm\n")
     code = main(["snr-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "qam_order = 8\n",
+        "image_width = 4\n",
+        "image = {tmp}/tiny.pgm\n",
+        "n_users = 4\n",
+    ],
+    ids=["non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8"],
+)
+def test_bad_input_rejected_before_first_cell(tmp_path, extra):
+    write_pgm(tmp_path / "tiny.pgm", np.zeros((4, 4), dtype=np.uint8))
+    cfg = write_small_config(tmp_path, extra=extra.format(tmp=tmp_path))
+    out = tmp_path / "x.csv"
+    for verb in ("snr-sweep", "csi-sweep", "reconstruct"):
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()  # no partial output: nothing ran
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -37,10 +37,10 @@ class TestOperators:
         np.testing.assert_array_equal(apply_operator(IdentityOperator(), img), img)
 
     def test_affine_flat_arithmetic(self):
-        anchor = np.full((8, 8), 128.0)
-        op = AffineContraction(anchor, 0.5)
-        out = apply_operator(op, np.zeros((8, 8)))
-        np.testing.assert_allclose(out, 64.0)
+        for anchor in (np.full((8, 8), 128.0), 128.0):  # a scalar anchor broadcasts
+            op = AffineContraction(anchor, 0.5)
+            out = apply_operator(op, np.zeros((8, 8)))
+            np.testing.assert_allclose(out, 64.0)
 
     def test_affine_rejects_bad_factor(self):
         with pytest.raises(ValueError):
@@ -60,9 +60,14 @@ class TestOperators:
         np.testing.assert_allclose(out, 77.0, atol=1e-12)
 
     def test_external_command_identity_via_copy(self):
-        op = ExternalCommandOperator("/bin/cp {in} {out}")
         img = synthetic_test_image(16, 16)
-        np.testing.assert_array_equal(apply_operator(op, img), img)
+        for template in (
+            "/bin/cp {in} {out}",
+            # Braces that are not placeholders reach the command unchanged.
+            """awk 'BEGIN{system("cp " ARGV[1] " " ARGV[2])}' {in} {out}""",
+        ):
+            op = ExternalCommandOperator(template)
+            np.testing.assert_array_equal(apply_operator(op, img), img)
 
     def test_external_command_failure(self):
         op = ExternalCommandOperator(f'{sys.executable} -c "raise SystemExit(9)" {{in}} {{out}}')
@@ -125,11 +130,12 @@ class TestEstimateBias:
 
     def test_affine_closed_form(self):
         clean = synthetic_test_image(24, 24)
-        anchor = np.full((24, 24), 128.0)
-        op = AffineContraction(anchor, 0.4)
-        measured = estimate_bias(op, [clean], error_level=0.0, n_trials=5)
-        assert measured == pytest.approx(op.bias_at(clean), rel=1e-12)
-        assert measured == pytest.approx(0.6 * image_distance(clean, anchor), rel=1e-12)
+        flat = np.full((24, 24), 128.0)
+        for anchor in (flat, 128.0):  # bias_at broadcasts a scalar anchor too
+            op = AffineContraction(anchor, 0.4)
+            measured = estimate_bias(op, [clean], error_level=0.0, n_trials=5)
+            assert measured == pytest.approx(op.bias_at(clean), rel=1e-12)
+            assert measured == pytest.approx(0.6 * image_distance(clean, flat), rel=1e-12)
 
     def test_denoiser_unbiased_on_constants(self):
         flat = np.full((16, 16), 200.0)

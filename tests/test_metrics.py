@@ -144,16 +144,24 @@ def test_report_orientation():
 
 class TestExternalMetric:
     def test_runs_command_and_parses_number(self):
-        hook = ExternalMetric(
-            f'{sys.executable} -c "print(0.25)" {{test}} {{ref}}'
-        )
-        assert hook(np.zeros((8, 8)), np.ones((8, 8))) == 0.25
+        for template in (
+            f'{sys.executable} -c "print(0.25)" {{test}} {{ref}}',
+            # Braces that are not placeholders reach the command unchanged.
+            "awk 'BEGIN{print 0.25}' {test} {ref}",
+        ):
+            hook = ExternalMetric(template)
+            assert hook(np.zeros((8, 8)), np.ones((8, 8))) == 0.25
 
     def test_requires_placeholders(self):
         with pytest.raises(ValueError):
             ExternalMetric("scorer output.pgm")
 
     def test_failure_raises(self):
-        hook = ExternalMetric(f"{sys.executable} -c exit(3) {{test}} {{ref}}")
-        with pytest.raises(ExternalMetricError):
-            hook(np.zeros((8, 8)), np.zeros((8, 8)))
+        for template, timeout in (
+            (f"{sys.executable} -c exit(3) {{test}} {{ref}}", 120.0),
+            ("/nonexistent/scorer {test} {ref}", 120.0),  # missing binary
+            (f'{sys.executable} -c "import time; time.sleep(5)" {{test}} {{ref}}', 0.3),
+        ):
+            hook = ExternalMetric(template, timeout=timeout)
+            with pytest.raises(ExternalMetricError):
+                hook(np.zeros((8, 8)), np.zeros((8, 8)))

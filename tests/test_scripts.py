@@ -1,0 +1,27 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_demo_reconstruction_writes_every_stage(tmp_path, monkeypatch, capsys):
+    demo = load_script("demo_reconstruction")
+    monkeypatch.setattr(sys, "argv", ["demo", "--size", "32", "--outdir", str(tmp_path)])
+    assert demo.main() == 0
+
+    tags = [f"{scheme}_snr{snr}" for snr in ("0", "7.5", "15") for scheme in ("mf", "zf")]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == tags
+    assert all("raw 1-ssim" in line and "pull 1-ssim" in line for line in lines[:-1])
+    expected = {"clean.pgm"} | {
+        f"{tag}_{stage}.pgm" for tag in tags for stage in ("received", "smooth", "pull")
+    }
+    assert {p.name for p in tmp_path.iterdir()} == expected
