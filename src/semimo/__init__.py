@@ -6,63 +6,10 @@ bit-plane QAM frame transport, contraction-operator reconstruction with
 performance bounds, and sweep/benchmark harnesses.
 """
 
-from .channel import ChannelSet, SeedSpec, draw_channel_set, dump_channel_set, load_channel_set
-from .config import ConfigError, ExperimentConfig, build_operator, load_config
-from .inference import (
-    AffineContraction,
-    ExternalCommandOperator,
-    IdentityOperator,
-    InferenceProfile,
-    OperatorError,
-    SmoothingDenoiser,
-    apply_operator,
-    compose,
-    estimate_bias,
-    estimate_rho,
-    identity_bound,
-    inferiority_threshold,
-    semantic_bound,
-    sinr_sensitivity,
-)
-from .link import (
-    EmpiricalBudget,
-    LinkBudget,
-    QamParams,
-    ber_from_sinr,
-    empirical_link_budget,
-    expected_distortion,
-    link_budget,
-    q_function,
-)
-from .metrics import (
-    ExternalMetric,
-    MetricReport,
-    mae,
-    mae_lipschitz,
-    metric_lipschitz_probe,
-    metric_report,
-    psnr,
-    ssim,
-)
-from .images import image_distance, read_pgm, synthetic_test_image, write_pgm
-from .precoding import (
-    DegenerateChannelError,
-    GramConditionError,
-    Precoder,
-    Scheme,
-    mf_precoder,
-    precoder_cost_probe,
-    zf_precoder,
-)
-from .transceiver import (
-    BitPlaneSource,
-    FrameResult,
-    QamConstellation,
-    combine_bit_planes,
-    qam_demodulate,
-    qam_modulate,
-    split_bit_planes,
-    transmit_frame,
-)
+from .channel import SeedSpec, draw_channel_set
+from .images import synthetic_test_image
+from .link import QamParams, ber_from_sinr, link_budget
+from .precoding import zf_precoder
+from .transceiver import QamConstellation, split_bit_planes, transmit_frame
 
 __version__ = "0.1.0"

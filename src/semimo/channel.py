@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "SeedSpec",
     "ChannelSet",
+    "complex_gaussian",
     "draw_channel_set",
     "dump_channel_set",
     "load_channel_set",
@@ -78,14 +79,13 @@ class ChannelSet:
         return self.h_true - self.h_known
 
 
-def _complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
+def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with the given variance.
 
-    Fortran order keeps per-user columns contiguous.
+    Draws the real parts, then the imaginary parts, from ``rng``.
     """
     scale = np.sqrt(var / 2.0)
-    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return np.asfortranarray(scale * z)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def draw_channel_set(
@@ -111,10 +111,10 @@ def draw_channel_set(
     _check_sizes(n_tx, n_users, err_var)
     rng = seed.rng()
     shape = (n_tx, n_users)
-    h_known = _complex_gaussian(rng, shape, 1.0 / n_tx)
+    # Fortran order keeps per-user columns contiguous.
+    h_known = np.asfortranarray(complex_gaussian(rng, shape, 1.0 / n_tx))
     if err_var > 0:
-        h_true = h_known + _complex_gaussian(rng, shape, err_var)
-        h_true = np.asfortranarray(h_true)
+        h_true = np.asfortranarray(h_known + complex_gaussian(rng, shape, err_var))
     else:
         h_true = h_known.copy(order="F")
     h_known.flags.writeable = False

@@ -15,7 +15,7 @@ from .inference import (
     SmoothingDenoiser,
 )
 from .link import square_qam_bits
-from .metrics import SSIM_WINDOW
+from .metrics import SSIM_WINDOW, ExternalMetric
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_operator", "from_db", "to_db"]
 
@@ -98,6 +98,11 @@ class ExperimentConfig:
             square_qam_bits(self.qam_order)
         except ValueError as exc:
             raise ConfigError(f"qam_order: {exc}") from exc
+        if self.external_metric:
+            try:
+                ExternalMetric(self.external_metric)  # checks the template's placeholders
+            except ValueError as exc:
+                raise ConfigError(f"external_metric: {exc}") from exc
         if self.recon_scheme not in ("mf", "zf"):
             raise ConfigError(f"recon_scheme must be mf or zf, got {self.recon_scheme!r}")
         known_metrics = {"mae", "neg_psnr", "one_minus_ssim"}

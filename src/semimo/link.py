@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .channel import ChannelSet, SeedSpec
+from .channel import ChannelSet, SeedSpec, complex_gaussian
 from .precoding import Precoder
 
 __all__ = [
@@ -133,7 +133,6 @@ def empirical_link_budget(
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
     n_tx, n_users = h.shape
     rng = seed.rng()
-    scale = np.sqrt(channel.err_var / 2.0)
 
     desired = np.empty(n_users)
     interference = np.empty(n_users)
@@ -141,10 +140,7 @@ def empirical_link_budget(
     interference_se = np.empty(n_users)
     for k in range(n_users):
         if channel.err_var > 0:
-            err = scale * (
-                rng.standard_normal((n_trials, n_tx))
-                + 1j * rng.standard_normal((n_trials, n_tx))
-            )
+            err = complex_gaussian(rng, (n_trials, n_tx), channel.err_var)
             rows = (h[:, k] + err).conj() @ f  # rows[t, j] = h_k(t)^H f_j
         else:
             rows = np.broadcast_to(h[:, k].conj() @ f, (n_trials, n_users))

@@ -8,6 +8,8 @@ from enum import Enum
 
 import numpy as np
 
+from .channel import complex_gaussian
+
 __all__ = [
     "Scheme",
     "Precoder",
@@ -106,10 +108,7 @@ def probe_channel(n_tx: int, n_users: int, seed: int = 0) -> np.ndarray:
     if n_tx < 1 or n_users < 1:
         raise ValueError("sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    return np.asfortranarray(
-        (rng.standard_normal((n_tx, n_users)) + 1j * rng.standard_normal((n_tx, n_users)))
-        * np.sqrt(0.5 / n_tx)
-    )
+    return np.asfortranarray(complex_gaussian(rng, (n_tx, n_users), 1.0 / n_tx))
 
 
 def precoder_build_times(scheme: Scheme | str, h: np.ndarray, count: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, SeedSpec
+from .channel import ChannelSet, SeedSpec, complex_gaussian
 from .link import square_qam_bits
 from .precoding import Precoder
 
@@ -99,56 +99,37 @@ def _gray(i: np.ndarray) -> np.ndarray:
 class QamConstellation:
     """Gray-labeled square M-QAM with unit average symbol energy.
 
-    ``points[label]`` is the symbol whose bit label (MSB first) is the
-    integer ``label``; the first half of the bits selects the in-phase level,
-    the second half the quadrature level, each axis Gray-coded so that
-    nearest neighbors differ in exactly one bit.
+    ``points`` is the one label table: ``points[label]`` is the symbol whose
+    bit label (MSB first) is the integer ``label``. The first half of the
+    bits is the Gray code of the in-phase level index, the second half that
+    of the quadrature level index, so nearest neighbors differ in exactly one
+    bit.
     """
 
     order: int
     points: np.ndarray
     bits_per_symbol: int
     levels: np.ndarray  # per-axis amplitudes, ascending by level index
-    gray_of_index: np.ndarray
-    index_of_gray: np.ndarray
 
     @classmethod
     def square(cls, order: int) -> "QamConstellation":
         bits_per_symbol = square_qam_bits(order)
-        per_axis = bits_per_symbol // 2
-        n_levels = 1 << per_axis
+        n_levels = 1 << (bits_per_symbol // 2)
         raw = np.arange(-(n_levels - 1), n_levels, 2, dtype=float)
         levels = raw / np.sqrt(2.0 * np.mean(raw**2))  # E|x|^2 = 1 exactly
-        idx = np.arange(n_levels)
-        gray_of_index = _gray(idx)
-        index_of_gray = np.empty(n_levels, dtype=int)
-        index_of_gray[gray_of_index] = idx
-
-        points = np.empty(order, dtype=np.complex128)
-        for i_idx in idx:
-            for q_idx in idx:
-                label = (int(gray_of_index[i_idx]) << per_axis) | int(
-                    gray_of_index[q_idx]
-                )
-                points[label] = levels[i_idx] + 1j * levels[q_idx]
+        axis = np.empty(n_levels)  # axis[per-axis label] = amplitude
+        axis[_gray(np.arange(n_levels))] = levels
+        points = (axis[:, None] + 1j * axis[None, :]).ravel()
         points.flags.writeable = False
         levels.flags.writeable = False
-        return cls(order, points, bits_per_symbol, levels, gray_of_index, index_of_gray)
-
-
-def _bits_to_labels(bits: np.ndarray, width: int) -> np.ndarray:
-    weights = 1 << np.arange(width - 1, -1, -1)
-    return bits @ weights
-
-
-def _labels_to_bits(labels: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width - 1, -1, -1)
-    return ((labels[:, None] >> shifts) & 1).astype(np.uint8)
+        return cls(order, points, bits_per_symbol, levels)
 
 
 def qam_modulate(bits, constellation: QamConstellation) -> np.ndarray:
     """Map a bit stream to constellation symbols, zero-padding the tail.
 
+    Each group of ``bits_per_symbol`` bits, MSB first, is a label into
+    ``constellation.points``; the input is flattened and the result is 1-D.
     The pad length is ``(-len(bits)) % bits_per_symbol``; pass the original
     bit count to qam_demodulate to strip it again.
     """
@@ -157,11 +138,8 @@ def qam_modulate(bits, constellation: QamConstellation) -> np.ndarray:
     pad = (-b.size) % m
     if pad:
         b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
-    groups = b.reshape(-1, m)
-    per_axis = m // 2
-    i_idx = constellation.index_of_gray[_bits_to_labels(groups[:, :per_axis], per_axis)]
-    q_idx = constellation.index_of_gray[_bits_to_labels(groups[:, per_axis:], per_axis)]
-    return constellation.levels[i_idx] + 1j * constellation.levels[q_idx]
+    labels = b.reshape(-1, m) @ (1 << np.arange(m - 1, -1, -1))
+    return constellation.points[labels]
 
 
 def qam_demodulate(
@@ -176,12 +154,14 @@ def qam_demodulate(
     z = np.asarray(symbols, dtype=np.complex128).ravel()
     levels = constellation.levels
     edges = (levels[1:] + levels[:-1]) / 2.0
-    i_idx = np.searchsorted(edges, z.real)
-    q_idx = np.searchsorted(edges, z.imag)
-    per_axis = constellation.bits_per_symbol // 2
-    i_bits = _labels_to_bits(constellation.gray_of_index[i_idx], per_axis)
-    q_bits = _labels_to_bits(constellation.gray_of_index[q_idx], per_axis)
-    bits = np.concatenate([i_bits, q_bits], axis=1).ravel()
+    m = constellation.bits_per_symbol
+    labels = (_gray(np.searchsorted(edges, z.real)) << (m // 2)) | _gray(
+        np.searchsorted(edges, z.imag)
+    )
+    bits = np.empty((z.size, m), dtype=np.uint8)
+    for j in range(m):  # flat passes: a broadcast (n, m) shift is slower at small m
+        bits[:, j] = (labels >> (m - 1 - j)) & 1
+    bits = bits.ravel()
     return bits[:n_bits] if n_bits is not None else bits
 
 
@@ -240,15 +220,13 @@ def transmit_frame(
 
     amp = np.sqrt(tx_power)
     cross = channel.h_true.conj().T @ precoder.matrix_f  # cross[k, j] = h_k^H f_j
-    received = amp * (cross @ symbols)
+    received = cross @ symbols
+    received *= amp  # in place: one (K, T) array fewer at the frame's peak
     if noise_var > 0:
-        noise_scale = np.sqrt(noise_var / 2.0)
         for block, start in enumerate(range(0, n_sym, block_len)):
             stop = min(start + block_len, n_sym)
-            rng = seed.rng(block)
-            shape = (n_users, stop - start)
-            received[:, start:stop] += noise_scale * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            received[:, start:stop] += complex_gaussian(
+                seed.rng(block), (n_users, stop - start), noise_var
             )
 
     if equalize_with_known_gain:

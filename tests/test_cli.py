@@ -89,8 +89,9 @@ def test_missing_image_is_config_error(tmp_path):
         "image_width = 4\n",
         "image = {tmp}/tiny.pgm\n",
         "n_users = 4\n",
+        "external_metric = echo 1\n",
     ],
-    ids=["non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8"],
+    ids=["non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template"],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):
     write_pgm(tmp_path / "tiny.pgm", np.zeros((4, 4), dtype=np.uint8))

@@ -86,7 +86,7 @@ class TestConstellation:
         with pytest.raises(ValueError):
             QamConstellation.square(8)
 
-    @pytest.mark.parametrize("order", [4, 16, 64])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_noiseless_roundtrip(self, order):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, size=10_000, dtype=np.uint8)
@@ -101,17 +101,18 @@ class TestConstellation:
         assert qam_modulate(bits, const).size == 3
 
     def test_slicing_equals_brute_force_min_distance(self):
-        const = QamConstellation.square(16)
-        rng = np.random.default_rng(2)
-        noisy = rng.normal(size=400) + 1j * rng.normal(size=400)
-        fast = qam_demodulate(noisy, const)
-        dists = np.abs(noisy[:, None] - const.points[None, :])
-        labels = np.argmin(dists, axis=1)
-        per_axis = const.bits_per_symbol
-        brute = (
-            (labels[:, None] >> np.arange(per_axis - 1, -1, -1)) & 1
-        ).astype(np.uint8).ravel()
-        assert np.array_equal(fast, brute)
+        for order in (16, 64):
+            const = QamConstellation.square(order)
+            rng = np.random.default_rng(2)
+            noisy = rng.normal(size=400) + 1j * rng.normal(size=400)
+            fast = qam_demodulate(noisy, const)
+            dists = np.abs(noisy[:, None] - const.points[None, :])
+            labels = np.argmin(dists, axis=1)
+            width = const.bits_per_symbol
+            brute = (
+                (labels[:, None] >> np.arange(width - 1, -1, -1)) & 1
+            ).astype(np.uint8).ravel()
+            assert np.array_equal(fast, brute), order
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
@@ -132,12 +133,21 @@ def make_frame_setup(n_tx=16, n_users=8, err_var=0.0, seed=100, size=32):
 class TestTransmitFrame:
     def test_noiseless_zf_perfect_csi_is_error_free(self):
         channel, source, img = make_frame_setup()
-        result = transmit_frame(
-            source, channel, zf_precoder(channel.h_known), 1.0, 0.0,
-            QamConstellation.square(4), SeedSpec(0),
-        )
-        assert np.all(result.ber == 0)
-        assert np.array_equal(result.image(), img)
+        cases = [(4, source, img)]
+        rng = np.random.default_rng(100)
+        # 17x33 and 9x9 pixels are no multiple of 4, 6 or 8 bits per symbol,
+        # so every plane is padded; 9x8 is not.
+        for order in (16, 64, 256):
+            for height, width in ((33, 17), (8, 9), (9, 9)):
+                other = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+                cases.append((order, split_bit_planes(other), other))
+        for order, src, expected in cases:
+            result = transmit_frame(
+                src, channel, zf_precoder(channel.h_known), 1.0, 0.0,
+                QamConstellation.square(order), SeedSpec(0),
+            )
+            assert np.all(result.ber == 0), (order, expected.shape)
+            assert np.array_equal(result.image(), expected)
 
     def test_empirical_ber_matches_curve_for_zf_perfect_csi(self):
         channel, source, _ = make_frame_setup(size=128)
