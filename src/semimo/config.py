@@ -81,8 +81,15 @@ class ExperimentConfig:
             raise ConfigError(f"need n_tx >= n_users >= 1, got {self.n_tx}, {self.n_users}")
         if not self.snr_grid_db or not self.err_var_grid_db:
             raise ConfigError("sweep grids must be non-empty")
-        if self.n_channel_trials < 1 or self.n_frames < 1:
-            raise ConfigError("trial counts must be >= 1")
+        if self.n_channel_trials < 1 or self.n_frames < 1 or self.n_error_draws < 1:
+            raise ConfigError("trial, frame and error-draw counts must be >= 1")
+        if not (np.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ConfigError(f"noise_var must be finite and > 0, got {self.noise_var}")
+        if not np.all(np.isfinite([*self.snr_grid_db, self.fixed_snr_db])):
+            raise ConfigError("SNR values must be finite")
+        # -inf dB is perfect CSI; NaN and +inf compare False.
+        if not np.all(np.array([*self.err_var_grid_db, self.recon_err_var_db]) < np.inf):
+            raise ConfigError("error variances must be finite or -inf dB")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if (

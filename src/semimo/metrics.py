@@ -16,7 +16,6 @@ __all__ = [
     "SSIM_C1",
     "SSIM_C2",
     "SSIM_VARIANT",
-    "PSNR_LIPSCHITZ_CAVEAT",
     "MetricReport",
     "psnr",
     "ssim",
@@ -38,10 +37,6 @@ SSIM_C2 = (0.03 * 255.0) ** 2
 SSIM_VARIANT = (
     f"uniform {SSIM_WINDOW}x{SSIM_WINDOW} windows, population moments, "
     f"C1={SSIM_C1:.4f}, C2={SSIM_C2:.4f}"
-)
-
-PSNR_LIPSCHITZ_CAVEAT = (
-    "psnr is not globally Lipschitz; probed constants are sample estimates only"
 )
 
 

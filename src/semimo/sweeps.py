@@ -67,8 +67,10 @@ def cell_entropy(master_seed: int, scheme: Scheme, snr_db: float, err_var: float
     Derived from the cell's physical coordinates rather than its position in
     the grid, so removing other grid points never changes a cell's result,
     and the perfect-CSI point of a CSI sweep reuses the SNR sweep's seeds.
+    The coordinates hash as Python floats, so a ``np.float64`` grid value
+    seeds exactly like the equal ``float``.
     """
-    blob = f"{int(master_seed)}|{Scheme(scheme).value}|{snr_db!r}|{err_var!r}"
+    blob = f"{int(master_seed)}|{Scheme(scheme).value}|{float(snr_db)!r}|{float(err_var)!r}"
     digest = hashlib.sha256(blob.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -173,6 +175,7 @@ def _simulate_cell(
         ber_analytic_sum += float(result.bers.mean())
         i_precode_sum += float(result.budget.i_precode.mean())
         distortion_sum += expected_distortion(result.bers, cfg.n_users)
+        i_error = float(result.budget.i_error[0])  # the same in every trial
         if result.oracle is not None:
             oracle_interference += float(result.oracle.interference.mean())
             oracle_se_sq += float((result.oracle.interference_se**2).sum()) / cfg.n_users**2
@@ -184,7 +187,6 @@ def _simulate_cell(
                 reports[recon].append(report)
 
     trials = cfg.n_channel_trials
-    tx_power = cfg.tx_power(snr_db)
     rows = []
     for recon in ("identity", "operator"):
         batch = reports[recon]
@@ -206,7 +208,7 @@ def _simulate_cell(
             "ber_analytic_mean": ber_analytic_sum / trials,
             "ber_empirical": bit_errors / bits_total,
             "i_precode_mean": i_precode_sum / trials,
-            "i_error": tx_power * (cfg.n_users - 1) * err_var,
+            "i_error": i_error,
             "exp_distortion": distortion_sum / trials,
             **metric_cells,
             "external_metric": (

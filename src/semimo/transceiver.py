@@ -24,6 +24,18 @@ __all__ = [
 
 UNDETECTABLE_GAIN = 1e-12
 
+# Symbols per stream in one pass of transmit_frame; block b draws its noise
+# from seed.rng(b).
+_BLOCK = 1 << 16
+
+
+def _as_bits(bits) -> np.ndarray:
+    """``bits`` as uint8, rejecting any value other than 0 or 1 before the cast."""
+    b = np.asarray(bits)
+    if b.size and not ((b.dtype == np.uint8 and b.max() <= 1) or np.all((b == 0) | (b == 1))):
+        raise ValueError("bits must be 0 or 1")
+    return b.astype(np.uint8, copy=False)
+
 
 @dataclass(frozen=True)
 class BitPlaneSource:
@@ -45,6 +57,7 @@ class BitPlaneSource:
                 raise ValueError(
                     f"plane length {p.size} != width*height = {n}"
                 )
+            _as_bits(p)
 
     @property
     def n_streams(self) -> int:
@@ -82,11 +95,9 @@ def combine_bit_planes(planes) -> np.ndarray:
     length = len(planes[0])
     acc = np.zeros(length, dtype=np.uint8)
     for b, plane in enumerate(planes):
-        bits = np.asarray(plane, dtype=np.uint8)
+        bits = _as_bits(plane)
         if bits.size != length:
             raise ValueError(f"plane {b} length {bits.size} != {length}")
-        if np.any(bits > 1):
-            raise ValueError(f"plane {b} holds non-binary values")
         acc += bits << b
     return acc
 
@@ -126,43 +137,45 @@ class QamConstellation:
 
 
 def qam_modulate(bits, constellation: QamConstellation) -> np.ndarray:
-    """Map a bit stream to constellation symbols, zero-padding the tail.
+    """Map bit streams along the last axis to symbols, zero-padding each tail.
 
     Each group of ``bits_per_symbol`` bits, MSB first, is a label into
-    ``constellation.points``; the input is flattened and the result is 1-D.
-    The pad length is ``(-len(bits)) % bits_per_symbol``; pass the original
-    bit count to qam_demodulate to strip it again.
+    ``constellation.points``; a ``(K, n)`` input maps row by row to ``(K,
+    ceil(n / bits_per_symbol))`` symbols. The pad length is ``(-n) %
+    bits_per_symbol``; pass the original bit count to qam_demodulate to strip
+    it again. Any bit other than 0 or 1 is a ValueError.
     """
-    b = np.asarray(bits, dtype=np.uint8).ravel()
+    b = np.atleast_1d(_as_bits(bits))
     m = constellation.bits_per_symbol
-    pad = (-b.size) % m
+    pad = (-b.shape[-1]) % m
     if pad:
-        b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
-    labels = b.reshape(-1, m) @ (1 << np.arange(m - 1, -1, -1))
+        b = np.concatenate([b, np.zeros(b.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
+    labels = b.reshape(b.shape[:-1] + (-1, m)) @ (1 << np.arange(m - 1, -1, -1))
     return constellation.points[labels]
 
 
 def qam_demodulate(
     symbols, constellation: QamConstellation, n_bits: int | None = None
 ) -> np.ndarray:
-    """Minimum-distance detection back to bits.
+    """Minimum-distance detection back to bits, along the last axis.
 
     Square QAM has rectangular decision regions, so slicing each axis to the
-    nearest level is exactly the minimum-Euclidean-distance decision. Returns
-    the first ``n_bits`` bits when given (dropping the modulation pad).
+    nearest level is exactly the minimum-Euclidean-distance decision. Each
+    row of a ``(K, n)`` input gives ``n * bits_per_symbol`` bits, trimmed to
+    the first ``n_bits`` when given (dropping the modulation pad).
     """
-    z = np.asarray(symbols, dtype=np.complex128).ravel()
+    z = np.asarray(symbols, dtype=np.complex128)
     levels = constellation.levels
     edges = (levels[1:] + levels[:-1]) / 2.0
     m = constellation.bits_per_symbol
     labels = (_gray(np.searchsorted(edges, z.real)) << (m // 2)) | _gray(
         np.searchsorted(edges, z.imag)
     )
-    bits = np.empty((z.size, m), dtype=np.uint8)
-    for j in range(m):  # flat passes: a broadcast (n, m) shift is slower at small m
-        bits[:, j] = (labels >> (m - 1 - j)) & 1
-    bits = bits.ravel()
-    return bits[:n_bits] if n_bits is not None else bits
+    bits = np.empty(z.shape + (m,), dtype=np.uint8)
+    for j in range(m):  # flat passes: a broadcast (..., m) shift is slower at small m
+        bits[..., j] = (labels >> (m - 1 - j)) & 1
+    bits = bits.reshape(z.shape[:-1] + (-1,))
+    return bits[..., :n_bits] if n_bits is not None else bits
 
 
 @dataclass(frozen=True)
@@ -187,7 +200,6 @@ def transmit_frame(
     constellation: QamConstellation,
     seed: SeedSpec,
     equalize_with_known_gain: bool = False,
-    block_len: int = 1 << 16,
 ) -> FrameResult:
     """Send each bit plane to its user through the true channel and detect.
 
@@ -196,10 +208,9 @@ def transmit_frame(
     other stream through h_k^H f_j, plus noise. Detection divides by the
     per-user effective gain (true gain by default, transmitter-known gain
     when ``equalize_with_known_gain``) and slices to the nearest
-    constellation point. Noise comes in per-block substreams of ``seed``: the
-    same seed and ``block_len`` always give the same result, but a frame
-    longer than ``block_len`` symbols gets different noise under a different
-    ``block_len``.
+    constellation point. All K streams go through in blocks of a fixed
+    number of symbols, each with its own noise substream of ``seed``, so the
+    same seed and the same frame size always give the same result.
 
     A user whose effective gain magnitude falls below UNDETECTABLE_GAIN gets
     its plane zeroed and a BER of 0.5 assigned.
@@ -213,42 +224,29 @@ def transmit_frame(
         raise ValueError("need tx_power > 0 and noise_var >= 0")
 
     n_bits = source.width * source.height
-    symbols = np.stack(
-        [qam_modulate(plane, constellation) for plane in source.planes]
-    )  # (K, T)
-    n_sym = symbols.shape[1]
-
+    sent = np.stack(source.planes)  # (K, n_bits)
     amp = np.sqrt(tx_power)
     cross = channel.h_true.conj().T @ precoder.matrix_f  # cross[k, j] = h_k^H f_j
-    received = cross @ symbols
-    received *= amp  # in place: one (K, T) array fewer at the frame's peak
-    if noise_var > 0:
-        for block, start in enumerate(range(0, n_sym, block_len)):
-            stop = min(start + block_len, n_sym)
-            received[:, start:stop] += complex_gaussian(
-                seed.rng(block), (n_users, stop - start), noise_var
-            )
+    known = channel.h_known.conj().T @ precoder.matrix_f if equalize_with_known_gain else cross
+    gains = amp * np.diagonal(known)
+    undetectable = np.abs(gains) < UNDETECTABLE_GAIN
+    gains[undetectable] = 1.0
 
-    if equalize_with_known_gain:
-        gains = amp * np.diagonal(channel.h_known.conj().T @ precoder.matrix_f)
-    else:
-        gains = amp * np.diagonal(cross)
+    detected = np.empty(sent.shape, dtype=np.uint8)
+    step = _BLOCK * constellation.bits_per_symbol
+    for block, start in enumerate(range(0, n_bits, step)):
+        bits = sent[:, start:start + step]
+        received = cross @ qam_modulate(bits, constellation)
+        received *= amp  # in place: one block-sized array fewer at the peak
+        if noise_var > 0:
+            received += complex_gaussian(seed.rng(block), received.shape, noise_var)
+        received /= gains[:, None]
+        detected[:, start:start + step] = qam_demodulate(received, constellation, bits.shape[1])
 
-    planes = []
-    bit_errors = np.empty(n_users, dtype=np.int64)
-    ber = np.empty(n_users)
-    for k in range(n_users):
-        sent = source.planes[k]
-        if np.abs(gains[k]) < UNDETECTABLE_GAIN:
-            planes.append(np.zeros(n_bits, dtype=np.uint8))
-            ber[k] = 0.5
-            bit_errors[k] = (n_bits + 1) // 2
-            continue
-        detected = qam_demodulate(received[k] / gains[k], constellation, n_bits)
-        errors = int(np.count_nonzero(detected != sent))
-        planes.append(detected)
-        bit_errors[k] = errors
-        ber[k] = errors / n_bits
-
-    out = BitPlaneSource(source.width, source.height, tuple(planes))
+    detected[undetectable] = 0
+    bit_errors = np.count_nonzero(detected != sent, axis=1)
+    bit_errors[undetectable] = (n_bits + 1) // 2
+    ber = bit_errors / n_bits
+    ber[undetectable] = 0.5
+    out = BitPlaneSource(source.width, source.height, tuple(detected))
     return FrameResult(out, ber, bit_errors, n_bits)

@@ -90,8 +90,16 @@ def test_missing_image_is_config_error(tmp_path):
         "image = {tmp}/tiny.pgm\n",
         "n_users = 4\n",
         "external_metric = echo 1\n",
+        "noise_var = 0\n",
+        "n_error_draws = 0\n",
+        "fixed_snr_db = nan\n",
+        "snr_grid_db = 0, inf\n",
+        "err_var_grid_db = -inf, nan\n",
     ],
-    ids=["non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template"],
+    ids=[
+        "non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template",
+        "zero-noise", "zero-error-draws", "nan-fixed-snr", "inf-snr", "nan-err-var",
+    ],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):
     write_pgm(tmp_path / "tiny.pgm", np.zeros((4, 4), dtype=np.uint8))

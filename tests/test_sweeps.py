@@ -69,15 +69,17 @@ def test_cell_results_independent_of_grid(tmp_path):
 
 
 def test_csi_perfect_point_reproduces_snr_cell():
-    cfg = small_config(snr_grid_db=(10.0,), err_var_grid_db=(float("-inf"),))
-    snr_rows = rows_by_key(run_snr_sweep(cfg))
-    for row in run_csi_error_sweep(cfg):
-        key = ("snr", row["scheme"], row["recon"], row["snr_db"], row["err_var_db"])
-        twin = snr_rows[key]
-        for name in CSV_COLUMNS:
-            if name == "case":
-                continue
-            assert row[name] == twin[name], name
+    # The default SNR grid holds np.float64 values; fixed_snr_db is a float.
+    for snr_grid in ((10.0,), (np.float64(10.0),)):
+        cfg = small_config(snr_grid_db=snr_grid, err_var_grid_db=(float("-inf"),))
+        snr_rows = rows_by_key(run_snr_sweep(cfg))
+        for row in run_csi_error_sweep(cfg):
+            key = ("snr", row["scheme"], row["recon"], row["snr_db"], row["err_var_db"])
+            twin = snr_rows[key]
+            for name in CSV_COLUMNS:
+                if name == "case":
+                    continue
+                assert row[name] == twin[name], (snr_grid, name)
 
 
 def test_csi_sweep_error_interference_column():
@@ -142,6 +144,9 @@ def test_cell_entropy_stability():
     assert a != cell_entropy(2, Scheme.MF, 10.0, 0.0)
     assert a != cell_entropy(1, Scheme.ZF, 10.0, 0.0)
     assert a != cell_entropy(1, Scheme.MF, 10.5, 0.0)
+    # numpy scalars (the default grids) seed like the equal Python floats.
+    assert a == cell_entropy(1, Scheme.MF, np.float64(10.0), 0.0)
+    assert a == cell_entropy(1, Scheme.MF, 10.0, np.float64(0.0))
     assert 0 <= a < 2**64
 
 

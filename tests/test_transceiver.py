@@ -114,6 +114,26 @@ class TestConstellation:
             ).astype(np.uint8).ravel()
             assert np.array_equal(fast, brute), order
 
+    def test_rows_map_like_one_dimensional_streams(self):
+        const = QamConstellation.square(64)
+        bits = np.random.default_rng(4).integers(0, 2, size=(3, 25), dtype=np.uint8)
+        symbols = qam_modulate(bits, const)  # 25 bits -> 5 symbols, pad 5
+        assert symbols.shape == (3, 5)
+        for row, sent in zip(symbols, bits):
+            np.testing.assert_array_equal(row, qam_modulate(sent, const))
+        np.testing.assert_array_equal(qam_demodulate(symbols, const, n_bits=25), bits)
+        assert qam_demodulate(symbols, const).shape == (3, 30)
+
+    def test_non_binary_bits_rejected(self):
+        const = QamConstellation.square(16)
+        # 257 would wrap to 1 under a uint8 cast.
+        for bits in ([0, 0, 0, 2], np.array([0, 0, 0, 257]), [0, 0, 0, 0.5], [0, 0, 0, -1]):
+            with pytest.raises(ValueError):
+                qam_modulate(bits, const)
+        for plane in (np.array([3, 0], np.uint8), np.array([257, 0])):
+            with pytest.raises(ValueError):
+                BitPlaneSource(2, 1, (plane,))
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     def test_roundtrip_property_qpsk(self, bit_list):
@@ -235,24 +255,24 @@ class TestTransmitFrame:
         assert all(p.size == img.size for p in a.received.planes)
 
     def test_block_splitting_does_not_change_result(self):
-        channel, source, _ = make_frame_setup(seed=88)
-        base = transmit_frame(
-            source, channel, zf_precoder(channel.h_known), 2.0, 1.0,
-            QamConstellation.square(4), SeedSpec(8), block_len=1 << 16,
-        )
-        split = transmit_frame(
-            source, channel, zf_precoder(channel.h_known), 2.0, 1.0,
-            QamConstellation.square(4), SeedSpec(8), block_len=64,
-        )
-        # Different block sizes draw noise in different orders, so images may
-        # differ, but both are valid deterministic runs of the same seed and
-        # the error statistics stay consistent.
-        assert abs(base.ber.mean() - split.ber.mean()) < 0.05
-        again = transmit_frame(
-            source, channel, zf_precoder(channel.h_known), 2.0, 1.0,
-            QamConstellation.square(4), SeedSpec(8), block_len=64,
-        )
-        assert np.array_equal(split.image(), again.image())
+        # 521x521 px at 16-QAM is 67,861 symbols per stream: more than one
+        # block, the last one partial and padded.
+        channel, source, img = make_frame_setup(seed=88, size=521)
+        precoder = zf_precoder(channel.h_known)
+        const = QamConstellation.square(16)
+        clean = transmit_frame(source, channel, precoder, 1.0, 0.0, const, SeedSpec(8))
+        assert np.all(clean.ber == 0)
+        assert np.array_equal(clean.image(), img)
+        args = (source, channel, precoder, 10.0, 1.0, const, SeedSpec(8))
+        noisy = transmit_frame(*args)
+        again = transmit_frame(*args)
+        assert np.array_equal(noisy.image(), again.image())
+        np.testing.assert_array_equal(noisy.bit_errors, again.bit_errors)
+        # A 128x128 frame is a single block; same channel, same power.
+        _, small, _ = make_frame_setup(seed=88, size=128)
+        one_block = transmit_frame(small, channel, precoder, 10.0, 1.0, const, SeedSpec(8))
+        assert noisy.ber.mean() > 0
+        assert abs(noisy.ber.mean() - one_block.ber.mean()) < 0.05
 
     def test_stream_count_mismatch_rejected(self):
         channel, source, _ = make_frame_setup(n_users=8)
