@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Time the Monte-Carlo oracle and the complex draw per call, into a BENCH JSON.
+
+    python3 scripts/bench_layers.py --out BENCH_5.json --label change
+
+Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
+the git sha is read from it, so a copy of this script in another checkout
+times that checkout's code. BLAS is held to one thread. Each sample runs the
+call in a loop that lasts at least 1 ms (the ``timeit.Timer.autorange``
+idea) and records the time per call; the rounds visit every layer in turn,
+so a spell of host contention falls on all of them. Each layer gets the
+median, the interquartile range and the count of its SAMPLES samples. The
+run is stored under ``runs[label]`` with the host block and the git sha;
+other labels already in the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import sys
+import time
+from datetime import datetime, timezone
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MIN_SAMPLE_S = 1e-3
+SAMPLES = 30
+
+
+def _perfbench_run():
+    """perfbench/run.py, for its host block (cores, BLAS, threads, git sha)."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _loops_for(call) -> int:
+    """Smallest of 1, 2, 5, 10, 20, ... calls that take at least MIN_SAMPLE_S."""
+    loops = 1
+    while True:
+        for factor in (1, 2, 5):
+            start = time.perf_counter()
+            for _ in range(loops * factor):
+                call()
+            if time.perf_counter() - start >= MIN_SAMPLE_S:
+                return loops * factor
+        loops *= 10
+
+
+def _sample(call, loops: int) -> float:
+    start = time.perf_counter()
+    for _ in range(loops):
+        call()
+    return (time.perf_counter() - start) / loops
+
+
+def _layers():
+    """(name, arguments, zero-argument call) per timed layer."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
+    from semimo.config import ExperimentConfig, from_db
+    from semimo.link import empirical_link_budget
+    from semimo.precoding import mf_precoder
+
+    cfg = ExperimentConfig()
+    err_var = from_db(-10.0)
+    channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, SeedSpec(cfg.master_seed))
+    precoder = mf_precoder(channel.h_known)
+    tx_power = cfg.tx_power(cfg.fixed_snr_db)
+    layers = [(
+        "link.empirical_link_budget",
+        {"scheme": "mf", "n_tx": cfg.n_tx, "n_users": cfg.n_users, "err_var": err_var,
+         "n_trials": cfg.n_error_draws, "snr_db": cfg.fixed_snr_db},
+        lambda: empirical_link_budget(
+            channel, precoder, tx_power, cfg.noise_var, cfg.n_error_draws, SeedSpec(1)
+        ),
+    )]
+    rng = SeedSpec(2).rng()
+    for shape in ((10000, 16), (8, 65536)):
+        layers.append((
+            f"channel.complex_gaussian[{shape[0]}x{shape[1]}]",
+            {"shape": list(shape), "var": 0.1},
+            lambda shape=shape: complex_gaussian(rng, shape, 0.1),
+        ))
+    return layers
+
+
+def run() -> dict:
+    perfbench = _perfbench_run()
+    for var in perfbench.BLAS_THREAD_VARS:
+        os.environ[var] = perfbench.BLAS_THREADS
+    layers = _layers()  # imports numpy, after the BLAS pin
+    import numpy as np
+
+    loops = [_loops_for(call) for *_, call in layers]
+    times = [[] for _ in layers]
+    for _ in range(SAMPLES):
+        for (*_, call), count, taken in zip(layers, loops, times):
+            taken.append(_sample(call, count))
+    results = {}
+    for (name, arguments, _), count, taken in zip(layers, loops, times):
+        q1, median, q3 = 1e3 * np.percentile(taken, [25, 50, 75])
+        results[name] = {
+            "unit": "ms", "median": median, "iqr": q3 - q1, "n": len(taken),
+            "calls_per_sample": count, "args": arguments,
+        }
+    host = perfbench.host_block()
+    return {
+        "git_sha": host.pop("git_sha"),
+        "measured_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "host": host,
+        "layers": results,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to create or update")
+    parser.add_argument("--label", required=True, help="key of this run under 'runs'")
+    args = parser.parse_args(argv)
+    record = run()
+    document = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
+    document["runs"][args.label] = record
+    args.out.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote runs[{args.label!r}] to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

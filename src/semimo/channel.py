@@ -82,10 +82,16 @@ class ChannelSet:
 def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with the given variance.
 
-    Draws the real parts, then the imaginary parts, from ``rng``.
+    Draw order: the real parts are the next ``standard_normal(shape)`` block
+    of ``rng`` and the imaginary parts the block after it. The result is one
+    C-contiguous complex128 array, filled part by part and scaled in place by
+    ``sqrt(var / 2)``; its bytes equal ``sqrt(var / 2) * (x + 1j * y)``.
     """
-    scale = np.sqrt(var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(var / 2.0)
+    return out
 
 
 def draw_channel_set(

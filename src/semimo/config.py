@@ -85,11 +85,15 @@ class ExperimentConfig:
             raise ConfigError("trial, frame and error-draw counts must be >= 1")
         if not (np.isfinite(self.noise_var) and self.noise_var > 0):
             raise ConfigError(f"noise_var must be finite and > 0, got {self.noise_var}")
-        if not np.all(np.isfinite([*self.snr_grid_db, self.fixed_snr_db])):
-            raise ConfigError("SNR values must be finite")
-        # -inf dB is perfect CSI; NaN and +inf compare False.
-        if not np.all(np.array([*self.err_var_grid_db, self.recon_err_var_db]) < np.inf):
-            raise ConfigError("error variances must be finite or -inf dB")
+        # NaN, +-inf and huge dB values all land outside the checks in linear units.
+        with np.errstate(over="ignore"):
+            power = self.noise_var * from_db(np.array([*self.snr_grid_db, self.fixed_snr_db]))
+            err_var = from_db(np.array([*self.err_var_grid_db, self.recon_err_var_db]))
+        if not np.all((power > 0) & (power < np.inf)):
+            raise ConfigError("SNR values must give a finite, positive transmit power")
+        # -inf dB (linear 0) is perfect CSI.
+        if not np.all(err_var < np.inf):
+            raise ConfigError("error variances must be finite in linear units, or -inf dB")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if (

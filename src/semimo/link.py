@@ -124,7 +124,15 @@ def empirical_link_budget(
     n_trials: int,
     seed: SeedSpec,
 ) -> EmpiricalBudget:
-    """Monte-Carlo oracle for link_budget: redraw the CSI error, average powers."""
+    """Monte-Carlo oracle for link_budget: redraw the CSI error, average powers.
+
+    User k draws an ``(n_trials, n_tx)`` error block from ``seed.rng()``, one
+    user after another. Since |h_k(t)^H f_j| = |f_j^H h_k(t)|, each draw is
+    mapped through conj(F), ``rows = err @ F* + h_k^T F*``, so no
+    ``(n_trials, n_tx)`` channel sum or conjugate is built, and the powers are
+    ``p * (re**2 + im**2)`` of those rows. With perfect CSI nothing is drawn
+    and every trial repeats the known channel's powers.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     h = channel.h_known
@@ -133,6 +141,7 @@ def empirical_link_budget(
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
     n_tx, n_users = h.shape
     rng = seed.rng()
+    f_conj = f.conj()
 
     desired = np.empty(n_users)
     interference = np.empty(n_users)
@@ -140,11 +149,13 @@ def empirical_link_budget(
     interference_se = np.empty(n_users)
     for k in range(n_users):
         if channel.err_var > 0:
-            err = complex_gaussian(rng, (n_trials, n_tx), channel.err_var)
-            rows = (h[:, k] + err).conj() @ f  # rows[t, j] = h_k(t)^H f_j
+            # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + err[t]
+            rows = complex_gaussian(rng, (n_trials, n_tx), channel.err_var) @ f_conj
+            rows += h[:, k] @ f_conj
+            powers = tx_power * (rows.real**2 + rows.imag**2)
         else:
             rows = np.broadcast_to(h[:, k].conj() @ f, (n_trials, n_users))
-        powers = tx_power * np.abs(rows) ** 2
+            powers = tx_power * np.abs(rows) ** 2
         des = powers[:, k]
         intf = powers.sum(axis=1) - des
         desired[k] = des.mean()

@@ -95,10 +95,13 @@ def test_missing_image_is_config_error(tmp_path):
         "fixed_snr_db = nan\n",
         "snr_grid_db = 0, inf\n",
         "err_var_grid_db = -inf, nan\n",
+        "fixed_snr_db = 4000\nsnr_grid_db = 0, 4000\n",
+        "err_var_grid_db = -inf, 4000\nrecon_err_var_db = 4000\n",
     ],
     ids=[
         "non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template",
         "zero-noise", "zero-error-draws", "nan-fixed-snr", "inf-snr", "nan-err-var",
+        "huge-snr", "huge-err-var",
     ],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):

@@ -87,6 +87,33 @@ def test_invalid_combination_rejected():
         ExperimentConfig(n_channel_trials=0)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        dict(snr_grid_db=(np.float64(0.0), np.float64(4000.0))),
+        dict(fixed_snr_db=4000.0),
+        dict(fixed_snr_db=-4000.0),  # the transmit power underflows to 0
+        dict(noise_var=1e300, fixed_snr_db=100.0),
+        dict(err_var_grid_db=(float("-inf"), np.float64(4000.0))),
+        dict(recon_err_var_db=4000.0),
+    ],
+    ids=["float64-snr-grid", "huge-fixed-snr", "tiny-fixed-snr", "power-overflow",
+         "float64-err-grid", "huge-recon-err"],
+)
+def test_db_values_must_convert_to_finite_linear_values(values):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**values)
+
+
+def test_extreme_but_representable_db_values_load():
+    # An error variance that underflows to 0 is perfect CSI, like -inf dB.
+    cfg = ExperimentConfig(
+        snr_grid_db=(-300.0, 300.0), err_var_grid_db=(-4000.0, 300.0),
+        recon_err_var_db=-4000.0,
+    )
+    assert cfg.tx_power(300.0) == 1e30
+
+
 def test_source_image_synthetic_and_file(tmp_path):
     cfg = ExperimentConfig(image_width=32, image_height=24)
     img = cfg.source_image()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimo.channel import SeedSpec, draw_channel_set
+from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
 from semimo.link import (
     QamParams,
     ber_from_sinr,
@@ -153,6 +153,33 @@ class TestEmpiricalBudget:
             np.abs(est.interference - analytic_interference)
             <= 3 * est.interference_se
         )
+
+    @pytest.mark.parametrize("err_var", [0.0, 0.1])
+    @pytest.mark.parametrize("which", ["mf", "zf"])
+    def test_matches_textbook_formula_on_its_own_draws(self, err_var, which):
+        ch, mf, zf = channel_and_precoders(16, 8, err_var, 25)
+        pre = mf if which == "mf" else zf
+        p, n_trials, seed = 3.0, 500, SeedSpec(504, 2)
+        est = empirical_link_budget(ch, pre, p, 1.0, n_trials, seed)
+        rng = seed.rng()
+        for k in range(ch.n_users):
+            h_k = ch.h_known[:, k]
+            if err_var > 0:
+                h_k = h_k + complex_gaussian(rng, (n_trials, ch.n_tx), err_var)
+            # p |(h_k + e_t)^H f_j|^2 for every draw t and stream j
+            powers = p * np.abs(np.atleast_2d(h_k).conj() @ pre.matrix_f) ** 2
+            powers = np.broadcast_to(powers, (n_trials, ch.n_users))
+            des = powers[:, k]
+            intf = powers.sum(axis=1) - des
+            scale = 1.0 / np.sqrt(n_trials)
+            np.testing.assert_allclose(est.desired_power[k], des.mean(), rtol=1e-12)
+            np.testing.assert_allclose(est.interference[k], intf.mean(), rtol=1e-12)
+            np.testing.assert_allclose(
+                est.desired_se[k], des.std(ddof=1) * scale, rtol=1e-12, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                est.interference_se[k], intf.std(ddof=1) * scale, rtol=1e-12, atol=1e-15
+            )
 
 
 class TestExpectedDistortion:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -25,3 +26,24 @@ def test_demo_reconstruction_writes_every_stage(tmp_path, monkeypatch, capsys):
         f"{tag}_{stage}.pgm" for tag in tags for stage in ("received", "smooth", "pull")
     }
     assert {p.name for p in tmp_path.iterdir()} == expected
+
+
+def test_bench_layers_records_each_label(tmp_path, monkeypatch):
+    bench = load_script("bench_layers")
+    monkeypatch.setattr(bench, "SAMPLES", 3)
+    out = tmp_path / "bench.json"
+    for label in ("before", "after"):
+        assert bench.main(["--out", str(out), "--label", label]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert set(runs) == {"before", "after"}
+    for run in runs.values():
+        assert run["host"]["cores"] >= 1 and "blas_name" in run["host"]
+        assert set(run["layers"]) == {
+            "link.empirical_link_budget",
+            "channel.complex_gaussian[10000x16]",
+            "channel.complex_gaussian[8x65536]",
+        }
+        for layer in run["layers"].values():
+            assert layer["n"] == 3 and layer["median"] > 0 and layer["iqr"] >= 0
+            # samples are sized to last about a millisecond or more
+            assert layer["median"] * layer["calls_per_sample"] >= 0.5

@@ -115,6 +115,22 @@ def test_workers_do_not_change_rows(tmp_path):
     assert serial == threaded
 
 
+def test_csi_rows_independent_of_workers_and_grid():
+    # Every returned column, the oracle's included, is a function of the cell.
+    grid = (float("-inf"), -10.0, -5.0)
+    serial = run_csi_error_sweep(small_config(err_var_grid_db=grid, n_error_draws=1000))
+    threaded = run_csi_error_sweep(
+        small_config(err_var_grid_db=grid, n_error_draws=1000, workers=2)
+    )
+    assert serial == threaded
+    assert all("i_interference_empirical_se" in row for row in serial)
+    narrow = run_csi_error_sweep(small_config(err_var_grid_db=grid[:2], n_error_draws=1000))
+    wide_map = rows_by_key(serial)
+    assert len(narrow) == len(serial) * 2 // 3
+    for key, row in rows_by_key(narrow).items():
+        assert wide_map[key] == row
+
+
 def test_error_marker_row_flushed(tmp_path):
     class Boom(ExperimentConfig):
         def tx_power(self, snr_db):
