@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the Monte-Carlo oracle and the complex draw per call, into a BENCH JSON.
+"""Time the oracle, complex draw, QAM detection and SSIM per call, into a BENCH JSON.
 
-    python3 scripts/bench_layers.py --out BENCH_5.json --label change
+    python3 scripts/bench_layers.py --out BENCH_6.json --label change
 
 Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
@@ -11,7 +11,9 @@ idea) and records the time per call; the rounds visit every layer in turn,
 so a spell of host contention falls on all of them. Each layer gets the
 median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
-other labels already in the file are kept.
+other labels already in the file are kept. SSIM is timed against the
+reference array and, where the checkout has ``metrics.Reference``, against
+a prebuilt one.
 """
 
 from __future__ import annotations
@@ -61,10 +63,14 @@ def _sample(call, loops: int) -> float:
 def _layers():
     """(name, arguments, zero-argument call) per timed layer."""
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from semimo import metrics
     from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
     from semimo.config import ExperimentConfig, from_db
+    from semimo.images import synthetic_test_image
     from semimo.link import empirical_link_budget
     from semimo.precoding import mf_precoder
+    from semimo.transceiver import QamConstellation, qam_demodulate, qam_modulate
 
     cfg = ExperimentConfig()
     err_var = from_db(-10.0)
@@ -86,6 +92,31 @@ def _layers():
             {"shape": list(shape), "var": 0.1},
             lambda shape=shape: complex_gaussian(rng, shape, 0.1),
         ))
+    for order in (4, 16):
+        constellation = QamConstellation.square(order)
+        # A full transmit_frame block, and one 128x128 frame at 4-QAM.
+        for n_symbols in (65536, 8192):
+            n_bits = n_symbols * constellation.bits_per_symbol
+            bits = rng.integers(0, 2, (cfg.n_users, n_bits), dtype=np.uint8)
+            received = qam_modulate(bits, constellation)
+            received += complex_gaussian(rng, received.shape, 0.05)
+            layers.append((
+                f"transceiver.qam_demodulate[qam{order},{cfg.n_users}x{n_symbols}]",
+                {"order": order, "shape": list(received.shape), "noise_var": 0.05},
+                lambda z=received, c=constellation, n=n_bits: qam_demodulate(z, c, n),
+            ))
+    for size in (128, 1024):
+        clean = synthetic_test_image(size, size)
+        noisy = np.clip(clean + rng.normal(0, 10, clean.shape), 0, 255).astype(np.uint8)
+        references = {"array": clean}
+        if hasattr(metrics, "Reference"):  # checkouts before it time the array form only
+            references["reference"] = metrics.Reference(clean)
+        for form, reference in references.items():
+            layers.append((
+                f"metrics.ssim[{size}x{size},{form}]",
+                {"size": size, "reference": form},
+                lambda ref=reference, test=noisy: metrics.ssim(ref, test),
+            ))
     return layers
 
 

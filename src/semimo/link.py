@@ -129,9 +129,11 @@ def empirical_link_budget(
     User k draws an ``(n_trials, n_tx)`` error block from ``seed.rng()``, one
     user after another. Since |h_k(t)^H f_j| = |f_j^H h_k(t)|, each draw is
     mapped through conj(F), ``rows = err @ F* + h_k^T F*``, so no
-    ``(n_trials, n_tx)`` channel sum or conjugate is built, and the powers are
-    ``p * (re**2 + im**2)`` of those rows. With perfect CSI nothing is drawn
-    and every trial repeats the known channel's powers.
+    ``(n_trials, n_tx)`` channel sum or conjugate is built, and the gains are
+    ``re**2 + im**2`` of those rows. With perfect CSI nothing is drawn and
+    every trial repeats the known channel's gains. Means and standard errors
+    are taken of the unscaled gains and then multiplied by ``p``, so their
+    squares stay finite at any finite ``p``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -152,18 +154,20 @@ def empirical_link_budget(
             # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + err[t]
             rows = complex_gaussian(rng, (n_trials, n_tx), channel.err_var) @ f_conj
             rows += h[:, k] @ f_conj
-            powers = tx_power * (rows.real**2 + rows.imag**2)
+            gains = rows.real**2 + rows.imag**2
         else:
             rows = np.broadcast_to(h[:, k].conj() @ f, (n_trials, n_users))
-            powers = tx_power * np.abs(rows) ** 2
-        des = powers[:, k]
-        intf = powers.sum(axis=1) - des
+            gains = np.abs(rows) ** 2
+        des = gains[:, k]
+        intf = gains.sum(axis=1) - des
         desired[k] = des.mean()
         interference[k] = intf.mean()
         desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
         interference_se[k] = (
             intf.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
         )
+    for estimate in (desired, interference, desired_se, interference_se):
+        estimate *= tx_power
     sinr = desired / (interference + noise_var)
     return EmpiricalBudget(
         desired, interference, desired_se, interference_se, sinr, n_trials

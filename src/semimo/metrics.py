@@ -17,6 +17,7 @@ __all__ = [
     "SSIM_C2",
     "SSIM_VARIANT",
     "MetricReport",
+    "Reference",
     "psnr",
     "ssim",
     "mae",
@@ -40,8 +41,37 @@ SSIM_VARIANT = (
 )
 
 
+class Reference:
+    """A reference image with its SSIM window moments computed once.
+
+    ``ssim``, ``psnr``, ``mae`` and ``metric_report`` take one wherever they
+    take the reference array, and give the same float. ``image`` is the
+    reference as float; ``mx`` and ``mxx`` are the window means of the image
+    and of its square for ``window``. All three are read-only, so threads may
+    share one Reference.
+    """
+
+    def __init__(self, image, window: int = SSIM_WINDOW):
+        a = np.array(image, dtype=float)
+        if a.ndim != 2:
+            raise ValueError(f"expected 2-D images, got shape {a.shape}")
+        if min(a.shape) < window:
+            raise ValueError(f"image {a.shape} smaller than {window}x{window} window")
+        self.image = a
+        self.window = window
+        self.mx = _window_means(a, window)
+        self.mxx = _window_means(a * a, window)
+        for arr in (self.image, self.mx, self.mxx):
+            arr.flags.writeable = False
+
+
+def _plain(ref):
+    """The reference as an array, whether given as one or as a Reference."""
+    return ref.image if isinstance(ref, Reference) else ref
+
+
 def _pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(ref, dtype=float)
+    a = np.asarray(_plain(ref), dtype=float)
     b = np.asarray(test, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
@@ -74,25 +104,36 @@ def ssim(ref, test, window: int = SSIM_WINDOW, c1: float = SSIM_C1, c2: float = 
 
     Per window: (2*mx*my + c1)*(2*cov + c2) / ((mx^2 + my^2 + c1)*(vx + vy + c2)),
     with population (divide-by-n) moments. Uniform windows rather than
-    Gaussian weighting keep the value exactly reproducible.
+    Gaussian weighting keep the value exactly reproducible. A ``ref`` given
+    as a Reference for this ``window`` skips filtering the reference again.
     """
+    if not (isinstance(ref, Reference) and ref.window == window):
+        ref = Reference(_plain(ref), window)
     a, b = _pair(ref, test)
-    if a.ndim != 2:
-        raise ValueError(f"expected 2-D images, got shape {a.shape}")
-    if min(a.shape) < window:
-        raise ValueError(f"image {a.shape} smaller than {window}x{window} window")
-    mx = _window_means(a, window)
+    mx, mxx = ref.mx, ref.mxx
     my = _window_means(b, window)
-    mxx = _window_means(a * a, window)
     myy = _window_means(b * b, window)
     mxy = _window_means(a * b, window)
-    vx = mxx - mx * mx
-    vy = myy - my * my
-    cov = mxy - mx * my
-    score = ((2 * mx * my + c1) * (2 * cov + c2)) / (
-        (mx * mx + my * my + c1) * (vx + vy + c2)
-    )
-    return float(score.mean())
+    # The formula's operations in its own order, on as few new arrays as
+    # possible: 2*mx*my is (2*mx)*my, which equals 2*(mx*my) exactly.
+    mx_my = mx * my
+    den = mx * mx
+    vx = mxx - den
+    my *= my
+    myy -= my  # vy
+    mxy -= mx_my  # cov
+    den += my
+    den += c1
+    vx += myy
+    vx += c2
+    den *= vx
+    mx_my *= 2
+    mx_my += c1
+    mxy *= 2
+    mxy += c2
+    mx_my *= mxy
+    mx_my /= den
+    return float(mx_my.mean())
 
 
 def mae(ref, test) -> float:
@@ -136,8 +177,12 @@ class MetricReport:
 
 
 def metric_report(test, ref, external: "ExternalMetric | None" = None) -> MetricReport:
-    """Score a reconstruction (first argument) against the reference."""
-    ext = external(test, ref) if external is not None else None
+    """Score a reconstruction (first argument) against the reference.
+
+    ``ref`` is an array or a Reference; ``external`` gets the plain image.
+    """
+    ext = external(test, _plain(ref)) if external is not None else None
+    test = np.asarray(test, dtype=float)
     return MetricReport(
         neg_psnr=-psnr(ref, test),
         one_minus_ssim=1.0 - ssim(ref, test),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,7 +22,7 @@ from .link import (
     expected_distortion,
     link_budget,
 )
-from .metrics import SSIM_VARIANT, ExternalMetric, MetricReport, metric_report
+from .metrics import SSIM_VARIANT, ExternalMetric, MetricReport, Reference, metric_report
 from .precoding import Scheme, mf_precoder, zf_precoder
 from .transceiver import (
     BitPlaneSource, FrameResult, QamConstellation, split_bit_planes, transmit_frame,
@@ -128,12 +129,15 @@ def score_frame(
 ) -> dict[str, tuple[np.ndarray, MetricReport]]:
     """Score the received image ("identity") and each named operator's output.
 
+    ``clean`` is the reference image or a metrics.Reference built from it;
+    an array is made into one Reference for all the scores of this call.
     Returns name -> (image, report), identity first.
     """
-    scored = {"identity": (noisy, metric_report(noisy, clean, external))}
+    reference = clean if isinstance(clean, Reference) else Reference(clean)
+    scored = {"identity": (noisy, metric_report(noisy, reference, external))}
     for name, operator in operators.items():
         restored = apply_operator(operator, noisy)
-        scored[name] = (restored, metric_report(restored, clean, external))
+        scored[name] = (restored, metric_report(restored, reference, external))
     return scored
 
 
@@ -144,15 +148,16 @@ def _simulate_cell(
     snr_db: float,
     err_var: float,
     source,
+    reference,
     operator,
     external,
 ) -> list[dict]:
     """Simulate one (scheme, SNR, err_var) cell; one output row per recon.
 
-    A CSI cell also runs the Monte-Carlo interference oracle.
+    ``reference`` is the metrics.Reference of ``source``'s image. A CSI cell
+    also runs the Monte-Carlo interference oracle.
     """
     with_error_oracle = case == "csi"
-    clean = source.to_image()
     entropy = cell_entropy(cfg.master_seed, scheme, snr_db, err_var)
 
     gamma_sum = 0.0
@@ -162,7 +167,7 @@ def _simulate_cell(
     bit_errors = 0
     bits_total = 0
     oracle_interference = 0.0
-    oracle_se_sq = 0.0
+    oracle_se: list[float] = []
     reports = {"identity": [], "operator": []}
 
     for trial in range(cfg.n_channel_trials):
@@ -178,11 +183,11 @@ def _simulate_cell(
         i_error = float(result.budget.i_error[0])  # the same in every trial
         if result.oracle is not None:
             oracle_interference += float(result.oracle.interference.mean())
-            oracle_se_sq += float((result.oracle.interference_se**2).sum()) / cfg.n_users**2
+            oracle_se.extend(result.oracle.interference_se.tolist())
         for frame in result.frames:
             bit_errors += int(frame.bit_errors.sum())
             bits_total += frame.bits_per_stream * cfg.n_users
-            scored = score_frame(frame.image(), clean, {"operator": operator}, external)
+            scored = score_frame(frame.image(), reference, {"operator": operator}, external)
             for recon, (_, report) in scored.items():
                 reports[recon].append(report)
 
@@ -221,7 +226,8 @@ def _simulate_cell(
             # Oracle columns ride along in the returned table only; the CSV
             # schema stays fixed.
             row["i_interference_empirical"] = oracle_interference / trials
-            row["i_interference_empirical_se"] = float(np.sqrt(oracle_se_sq)) / trials
+            # hypot scales before squaring, so huge powers keep a finite SE.
+            row["i_interference_empirical_se"] = math.hypot(*oracle_se) / cfg.n_users / trials
         rows.append(row)
     return rows
 
@@ -234,6 +240,8 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
     appended before the exception propagates.
     """
     source = load_source(cfg)
+    # Read-only, so the cells share it under any worker count.
+    reference = Reference(source.to_image())
     operator = build_operator(cfg.operator)
     external = ExternalMetric(cfg.external_metric) if cfg.external_metric else None
 
@@ -245,7 +253,9 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
 
     def run(cell):
         snr_db, err_var, scheme = cell
-        return _simulate_cell(cfg, case, scheme, snr_db, err_var, source, operator, external)
+        return _simulate_cell(
+            cfg, case, scheme, snr_db, err_var, source, reference, operator, external
+        )
 
     rows: list[dict] = []
     try:

@@ -168,12 +168,19 @@ def qam_demodulate(
     levels = constellation.levels
     edges = (levels[1:] + levels[:-1]) / 2.0
     m = constellation.bits_per_symbol
-    labels = (_gray(np.searchsorted(edges, z.real)) << (m // 2)) | _gray(
-        np.searchsorted(edges, z.imag)
-    )
     bits = np.empty(z.shape + (m,), dtype=np.uint8)
-    for j in range(m):  # flat passes: a broadcast (..., m) shift is slower at small m
-        bits[..., j] = (labels >> (m - 1 - j)) & 1
+    if m == 2:
+        # One edge per axis, and each level index is its own Gray label and
+        # bit. searchsorted's index there is ~(x <= edge): unlike x > edge,
+        # that also sends NaN to 1.
+        bits[..., 0] = ~(z.real <= edges[0])
+        bits[..., 1] = ~(z.imag <= edges[0])
+    else:
+        labels = (_gray(np.searchsorted(edges, z.real)) << (m // 2)) | _gray(
+            np.searchsorted(edges, z.imag)
+        )
+        for j in range(m):  # flat passes: a broadcast (..., m) shift is slower at small m
+            bits[..., j] = (labels >> (m - 1 - j)) & 1
     bits = bits.reshape(z.shape[:-1] + (-1,))
     return bits[..., :n_bits] if n_bits is not None else bits
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import uniform_filter
 
 from semimo.images import synthetic_test_image
 from semimo.metrics import (
@@ -13,6 +14,7 @@ from semimo.metrics import (
     SSIM_C2,
     ExternalMetric,
     ExternalMetricError,
+    Reference,
     mae,
     mae_lipschitz,
     metric_lipschitz_probe,
@@ -112,6 +114,83 @@ class TestMae:
             samples.append((u, v, base))
         probed = metric_lipschitz_probe(mae, samples)
         assert 0 < probed <= mae_lipschitz(base.size) + 1e-9
+
+
+def ssim_whole_arrays(ref, test, window=8, c1=SSIM_C1, c2=SSIM_C2):
+    """The SSIM formula on whole window-mean arrays, in its written order."""
+    a = np.asarray(ref, dtype=float)
+    b = np.asarray(test, dtype=float)
+    lo, hi = window // 2, window - 1 - window // 2
+
+    def means(x):
+        return uniform_filter(x, size=window, mode="constant")[
+            lo : x.shape[0] - hi, lo : x.shape[1] - hi
+        ]
+
+    mx, my, mxx, myy, mxy = means(a), means(b), means(a * a), means(b * b), means(a * b)
+    vx, vy, cov = mxx - mx * mx, myy - my * my, mxy - mx * my
+    score = ((2 * mx * my + c1) * (2 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
+    return float(score.mean())
+
+
+class TestReference:
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (128, 128), (300, 200)])
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    def test_same_float_as_the_array(self, shape, dtype):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        clean = rng.uniform(0, 255, shape)
+        noisy = np.clip(clean + rng.normal(0, 30, shape), 0, 255)
+        if dtype is np.uint8:
+            clean, noisy = clean.astype(np.uint8), noisy.astype(np.uint8)
+        ref = Reference(clean)
+        assert ssim(ref, noisy) == ssim(clean, noisy) == ssim_whole_arrays(clean, noisy)
+        assert psnr(ref, noisy) == psnr(clean, noisy)
+        assert mae(ref, noisy) == mae(clean, noisy)
+        assert metric_report(noisy, ref) == metric_report(noisy, clean)
+        assert ssim(ref, clean) == pytest.approx(1.0)
+
+    def test_other_window_scores_like_the_array(self):
+        rng = np.random.default_rng(3)
+        clean = rng.integers(0, 256, (20, 24), dtype=np.uint8)
+        noisy = rng.integers(0, 256, (20, 24), dtype=np.uint8)
+        built_for_5 = Reference(clean, window=5)
+        assert ssim(built_for_5, noisy) == ssim(clean, noisy)
+        assert ssim(built_for_5, noisy, window=5) == ssim(clean, noisy, window=5)
+        assert ssim(Reference(clean), noisy, window=7) == ssim_whole_arrays(clean, noisy, 7)
+
+    def test_shape_and_size_checked(self):
+        ref = Reference(np.zeros((16, 16)))
+        for metric in (ssim, psnr, mae):
+            with pytest.raises(ValueError):
+                metric(ref, np.zeros((16, 15)))
+        with pytest.raises(ValueError):
+            metric_report(np.zeros((15, 16)), ref)
+        for bad in (np.zeros(64), np.zeros((4, 4, 4)), np.zeros((7, 30))):
+            with pytest.raises(ValueError):
+                Reference(bad)
+
+    def test_moments_are_read_only_and_detached(self):
+        image = synthetic_test_image(16, 16).astype(float)
+        ref = Reference(image)
+        for arr in (ref.image, ref.mx, ref.mxx):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        image[0, 0] += 50  # the caller's array stays writable and separate
+        assert ref.image[0, 0] == image[0, 0] - 50
+
+    def test_external_hook_gets_the_plain_image(self):
+        clean = synthetic_test_image(16, 16)
+        seen = []
+
+        def external(test, ref):
+            seen.append(ref)
+            return 0.5
+
+        report = metric_report(clean, Reference(clean), external)
+        assert report.external == 0.5
+        assert isinstance(seen[0], np.ndarray)
+        np.testing.assert_array_equal(seen[0], clean)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,13 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from semimo.config import ExperimentConfig
+from semimo.inference import SmoothingDenoiser
+from semimo.metrics import Reference
 from semimo.precoding import Scheme
 from semimo.sweeps import (
     CSV_COLUMNS,
     cell_entropy,
     run_csi_error_sweep,
     run_snr_sweep,
+    score_frame,
     write_csv,
 )
 
@@ -99,6 +105,34 @@ def test_csi_sweep_oracle_agrees_with_analytic():
         se = row["i_interference_empirical_se"]
         rel = abs(estimate - analytic) / analytic if analytic else 0.0
         assert rel <= 0.01 or abs(estimate - analytic) <= 3 * se
+
+
+def test_csi_cell_at_huge_snr_keeps_finite_standard_errors():
+    # At 1600 dB the powers are ~1e160: their squares overflow, but the
+    # oracle's moments are taken before the power scale is applied.
+    cfg = small_config(
+        image_width=16, image_height=16, fixed_snr_db=1600.0,
+        err_var_grid_db=(0.0,), n_error_draws=50,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_csi_error_sweep(cfg)
+    for row in rows:
+        assert math.isfinite(row["i_interference_empirical"])
+        assert 0 < row["i_interference_empirical_se"] < math.inf
+
+
+def test_score_frame_same_from_reference_or_array():
+    rng = np.random.default_rng(8)
+    clean = rng.integers(0, 256, (24, 20), dtype=np.uint8)
+    noisy = rng.integers(0, 256, (24, 20), dtype=np.uint8)
+    operators = {"smooth": SmoothingDenoiser(strength=1.0)}
+    from_array = score_frame(noisy, clean, operators)
+    from_reference = score_frame(noisy, Reference(clean), operators)
+    assert list(from_array) == list(from_reference) == ["identity", "smooth"]
+    for name, (image, report) in from_array.items():
+        np.testing.assert_array_equal(from_reference[name][0], image)
+        assert from_reference[name][1] == report
 
 
 def test_mf_beats_zf_sinr_at_low_snr():

@@ -114,6 +114,35 @@ class TestConstellation:
             ).astype(np.uint8).ravel()
             assert np.array_equal(fast, brute), order
 
+    def test_qpsk_comparison_slicer_equals_searchsorted_rule(self):
+        # The general rule: searchsorted per axis, Gray labels, MSB first.
+        def searchsorted_bits(symbols, const, n_bits=None):
+            edges = (const.levels[1:] + const.levels[:-1]) / 2.0
+            gray = lambda i: i ^ (i >> 1)  # noqa: E731
+            half = const.bits_per_symbol // 2
+            labels = (gray(np.searchsorted(edges, symbols.real)) << half) | gray(
+                np.searchsorted(edges, symbols.imag)
+            )
+            shifts = np.arange(const.bits_per_symbol - 1, -1, -1)
+            bits = ((labels[..., None] >> shifts) & 1).astype(np.uint8)
+            bits = bits.reshape(symbols.shape[:-1] + (-1,))
+            return bits[..., :n_bits] if n_bits is not None else bits
+
+        const = QamConstellation.square(4)
+        # Every pair of edge cases as (real, imag), then random values.
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300])
+        flat = np.empty(320, dtype=np.complex128)
+        flat.real = np.random.default_rng(9).normal(size=320)
+        flat.imag = np.random.default_rng(10).normal(size=320)
+        flat.real[:49] = np.repeat(special, 7)
+        flat.imag[:49] = np.tile(special, 7)
+        for symbols in (flat, flat.reshape(8, 40)):
+            n = symbols.shape[-1]
+            for n_bits in (None, 2 * n - 1):
+                fast = qam_demodulate(symbols, const, n_bits)
+                assert fast.dtype == np.uint8
+                np.testing.assert_array_equal(fast, searchsorted_bits(symbols, const, n_bits))
+
     def test_rows_map_like_one_dimensional_streams(self):
         const = QamConstellation.square(64)
         bits = np.random.default_rng(4).integers(0, 2, size=(3, 25), dtype=np.uint8)
