@@ -118,11 +118,9 @@ class TestConstellation:
         # The general rule: searchsorted per axis, Gray labels, MSB first.
         def searchsorted_bits(symbols, const, n_bits=None):
             edges = (const.levels[1:] + const.levels[:-1]) / 2.0
-            gray = lambda i: i ^ (i >> 1)  # noqa: E731
+            re, im = np.searchsorted(edges, symbols.real), np.searchsorted(edges, symbols.imag)
             half = const.bits_per_symbol // 2
-            labels = (gray(np.searchsorted(edges, symbols.real)) << half) | gray(
-                np.searchsorted(edges, symbols.imag)
-            )
+            labels = ((re ^ (re >> 1)) << half) | (im ^ (im >> 1))
             shifts = np.arange(const.bits_per_symbol - 1, -1, -1)
             bits = ((labels[..., None] >> shifts) & 1).astype(np.uint8)
             bits = bits.reshape(symbols.shape[:-1] + (-1,))
