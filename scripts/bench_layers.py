@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the oracle, complex draw, QAM detection and SSIM per call, into a BENCH JSON.
+"""Time the oracle, complex draw, QAM mapping, SSIM and the denoiser per call, into a BENCH JSON.
 
-    python3 scripts/bench_layers.py --out BENCH_6.json --label change
+    python3 scripts/bench_layers.py --out BENCH_7.json --label change
 
 Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
@@ -68,6 +68,7 @@ def _layers():
     from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
     from semimo.config import ExperimentConfig, from_db
     from semimo.images import synthetic_test_image
+    from semimo.inference import SmoothingDenoiser
     from semimo.link import empirical_link_budget
     from semimo.precoding import mf_precoder
     from semimo.transceiver import QamConstellation, qam_demodulate, qam_modulate
@@ -99,6 +100,12 @@ def _layers():
             n_bits = n_symbols * constellation.bits_per_symbol
             bits = rng.integers(0, 2, (cfg.n_users, n_bits), dtype=np.uint8)
             received = qam_modulate(bits, constellation)
+            if order == 4:
+                layers.append((
+                    f"transceiver.qam_modulate[qam{order},{cfg.n_users}x{n_symbols}]",
+                    {"order": order, "shape": list(bits.shape)},
+                    lambda b=bits, c=constellation: qam_modulate(b, c),
+                ))
             received += complex_gaussian(rng, received.shape, 0.05)
             layers.append((
                 f"transceiver.qam_demodulate[qam{order},{cfg.n_users}x{n_symbols}]",
@@ -117,6 +124,12 @@ def _layers():
                 {"size": size, "reference": form},
                 lambda ref=reference, test=noisy: metrics.ssim(ref, test),
             ))
+        denoiser = SmoothingDenoiser(strength=1.0)
+        layers.append((
+            f"inference.SmoothingDenoiser[{size}x{size}]",
+            {"size": size, "strength": denoiser.strength, "kernel": denoiser.size},
+            lambda image=noisy.astype(float): denoiser(image),
+        ))
     return layers
 
 

@@ -1,4 +1,4 @@
-"""8-bit grayscale image helpers: PGM I/O, a synthetic test card, distances."""
+"""8-bit grayscale image helpers: PGM I/O, a synthetic test card, distances, box means."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ __all__ = [
     "synthetic_test_image",
     "image_distance",
     "to_uint8",
+    "box_mean",
 ]
 
 
@@ -101,3 +102,60 @@ def image_distance(u, v) -> float:
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
     return float(np.linalg.norm((a - b).ravel() / 255.0))
+
+
+def box_mean(a, size: int, mode: str = "constant") -> np.ndarray:
+    """Mean over a ``size``-wide box around every element, as a C-ordered float array.
+
+    The box spans ``size // 2`` elements before each one and ``(size - 1) //
+    2`` after, on every axis. Outside the array the input reads 0
+    (``"constant"``) or its nearest edge value (``"nearest"``). The axes are
+    filtered in turn in scipy's ``uniform_filter1d`` order, so the result
+    equals ``scipy.ndimage.uniform_filter(a, size, mode=mode)`` on float input
+    byte for byte. An integral image (one cumsum over the padded input, then
+    differences) rounds differently and moves reconstructed pixels.
+    """
+    if mode not in ("constant", "nearest"):
+        raise ValueError(f"mode must be 'constant' or 'nearest', got {mode!r}")
+    if size < 1:
+        raise ValueError(f"box size must be >= 1, got {size}")
+    out = np.asarray(a, dtype=float)
+    if size == 1:
+        return np.array(out, order="C")
+    for axis in range(out.ndim):
+        out = _window_sums(out, axis, size // 2, (size - 1) // 2, mode)
+        out /= size
+    return out
+
+
+def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int, mode: str) -> np.ndarray:
+    """Sums of src[i - lo : i + hi + 1] along ``axis``, summed as a running total.
+
+    The first window is added up in order from 0.0; every later entry starts
+    as the difference ``src[i + hi] - src[i - lo - 1]``, read as 0 or the edge
+    value outside ``src``, written straight into the output; one cumsum turns
+    the differences into the running total. No padded copy is built.
+    """
+    n = src.shape[axis]
+    out = np.empty(src.shape)
+
+    def along(start, stop):
+        return (slice(None),) * axis + (slice(start, stop),)
+
+    if mode == "nearest":
+        left, right = src[along(0, 1)], src[along(n - 1, n)]
+    else:
+        left = right = 0.0
+    first = out[along(0, 1)]
+    first[...] = 0.0
+    for j in range(-lo, hi + 1):
+        first += left if j < 0 else right if j >= n else src[along(j, j + 1)]
+    # Cut i = 1 .. n-1 where i + hi leaves src and where i - lo - 1 enters it,
+    # so each run reads each end wholly inside or wholly outside.
+    cuts = sorted({1, n, min(lo + 1, n), max(1, n - hi)})
+    for start, stop in zip(cuts, cuts[1:]):
+        plus = src[along(start + hi, stop + hi)] if start + hi < n else right
+        minus = src[along(start - lo - 1, stop - lo - 1)] if start > lo else left
+        np.subtract(plus, minus, out=out[along(start, stop)])
+    np.cumsum(out, axis=axis, out=out)
+    return out

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .hooks import PgmHook
-from .images import image_distance
+from .images import box_mean, image_distance
 from .link import QamParams
 
 __all__ = [
@@ -90,9 +89,11 @@ class SmoothingDenoiser:
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
         u = np.asarray(image, dtype=float)
-        blurred = uniform_filter(u, size=self.size, mode="nearest")
+        blurred = box_mean(u, self.size, "nearest")
         w = self.strength / (1.0 + self.strength)
-        return (1.0 - w) * u + w * blurred
+        blurred *= w  # in place: (1 - w) * u + w * blurred, one full-size array fewer
+        blurred += (1.0 - w) * u
+        return blurred
 
 
 class ExternalCommandOperator(PgmHook):
@@ -142,7 +143,7 @@ def _probe_direction(kind: int, shape, rng: np.random.Generator) -> np.ndarray:
     if kind == 1:  # constant: the worst case for averaging kernels
         return float(rng.choice((-1.0, 1.0))) * np.ones(shape)
     # smooth low-frequency field
-    return uniform_filter(rng.standard_normal(shape), size=9, mode="nearest")
+    return box_mean(rng.standard_normal(shape), 9, "nearest")
 
 
 def estimate_rho(

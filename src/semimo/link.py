@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelSet, SeedSpec, complex_gaussian
 from .precoding import Precoder
@@ -65,8 +65,13 @@ class LinkBudget:
 
 
 def q_function(x):
-    """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2, via math.erfc per element.
+
+    A scalar gives a numpy float, an array an array of the same shape.
+    """
+    z = np.asarray(x, dtype=float) / np.sqrt(2.0)
+    tail = np.fromiter(map(math.erfc, z.flat), float, z.size).reshape(z.shape)
+    return 0.5 * tail
 
 
 def link_budget(
@@ -130,10 +135,11 @@ def empirical_link_budget(
     user after another. Since |h_k(t)^H f_j| = |f_j^H h_k(t)|, each draw is
     mapped through conj(F), ``rows = err @ F* + h_k^T F*``, so no
     ``(n_trials, n_tx)`` channel sum or conjugate is built, and the gains are
-    ``re**2 + im**2`` of those rows. With perfect CSI nothing is drawn and
-    every trial repeats the known channel's gains. Means and standard errors
-    are taken of the unscaled gains and then multiplied by ``p``, so their
-    squares stay finite at any finite ``p``.
+    ``re**2 + im**2`` of those rows. With perfect CSI nothing is drawn:
+    every trial would repeat the known channel's gains, so one row of them
+    gives the means and the standard errors are exactly 0. Means and
+    standard errors are taken of the unscaled gains and then multiplied by
+    ``p``, so their squares stay finite at any finite ``p``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -150,14 +156,17 @@ def empirical_link_budget(
     desired_se = np.empty(n_users)
     interference_se = np.empty(n_users)
     for k in range(n_users):
-        if channel.err_var > 0:
-            # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + err[t]
-            rows = complex_gaussian(rng, (n_trials, n_tx), channel.err_var) @ f_conj
-            rows += h[:, k] @ f_conj
-            gains = rows.real**2 + rows.imag**2
-        else:
-            rows = np.broadcast_to(h[:, k].conj() @ f, (n_trials, n_users))
-            gains = np.abs(rows) ** 2
+        if channel.err_var == 0:
+            # Every trial repeats these gains: exact means, zero spread.
+            gains = np.abs(h[:, k].conj() @ f) ** 2
+            desired[k] = gains[k]
+            interference[k] = gains.sum() - gains[k]
+            desired_se[k] = interference_se[k] = 0.0
+            continue
+        # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + err[t]
+        rows = complex_gaussian(rng, (n_trials, n_tx), channel.err_var) @ f_conj
+        rows += h[:, k] @ f_conj
+        gains = rows.real**2 + rows.imag**2
         des = gains[:, k]
         intf = gains.sum(axis=1) - des
         desired[k] = des.mean()

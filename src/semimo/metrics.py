@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 from .hooks import PgmHook
-from .images import image_distance
+from .images import box_mean, image_distance
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -93,7 +92,7 @@ def psnr(ref, test, cap_db: float = PSNR_CAP_DB) -> float:
 
 def _window_means(a: np.ndarray, window: int) -> np.ndarray:
     """Means over every fully contained window x window patch."""
-    m = uniform_filter(a, size=window, mode="constant")
+    m = box_mean(a, window, "constant")
     lo = window // 2
     hi_trim = window - 1 - lo
     return m[lo : a.shape[0] - hi_trim, lo : a.shape[1] - hi_trim]

@@ -150,7 +150,11 @@ def qam_modulate(bits, constellation: QamConstellation) -> np.ndarray:
     pad = (-b.shape[-1]) % m
     if pad:
         b = np.concatenate([b, np.zeros(b.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
-    labels = b.reshape(b.shape[:-1] + (-1, m)) @ (1 << np.arange(m - 1, -1, -1))
+    groups = b.reshape(b.shape[:-1] + (-1, m))
+    labels = groups[..., 0].astype(np.intp)
+    for j in range(1, m):  # MSB first; flat passes beat an int64 matmul over (..., m)
+        labels <<= 1
+        labels |= groups[..., j]
     return constellation.points[labels]
 
 

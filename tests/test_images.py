@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter
 
 from semimo.images import (
+    box_mean,
     image_distance,
     read_pgm,
     synthetic_test_image,
@@ -76,3 +78,58 @@ def test_image_distance_scale():
 def test_to_uint8_passthrough():
     img = np.arange(4, dtype=np.uint8).reshape(2, 2)
     assert to_uint8(img) is img
+
+
+def box_filter_inputs(shape, rng):
+    """Real, integer-valued and signed-zero inputs of one shape."""
+    signed_zeros = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], shape)
+    signed_zeros[0, 0] = signed_zeros[-1, -1] = -0.0
+    signed_zeros[:, 0] = -0.0  # a whole edge column of -0.0
+    return {
+        "real": rng.standard_normal(shape) * 100.0,
+        "integer": rng.integers(0, 256, shape).astype(float),
+        "signed_zeros": signed_zeros,
+        "all_minus_zero": np.full(shape, -0.0),
+    }
+
+
+@pytest.mark.parametrize("mode", ["constant", "nearest"])
+@pytest.mark.parametrize("size", range(2, 10))
+def test_box_mean_equals_scipy_uniform_filter_byte_for_byte(size, mode):
+    # 3x3 at size 3 and 4x9 at size 4 put windows wider than half the image.
+    rng = np.random.default_rng(size)
+    for shape in [(3, 3), (4, 9), (9, 4), (8, 8), (9, 13), (128, 128), (300, 200)]:
+        for kind, x in box_filter_inputs(shape, rng).items():
+            got = box_mean(x, size, mode)
+            expected = uniform_filter(x, size=size, mode=mode)
+            assert got.flags.c_contiguous, (shape, kind)
+            assert got.tobytes() == expected.tobytes(), (shape, kind)
+
+
+@pytest.mark.parametrize("mode", ["constant", "nearest"])
+def test_box_mean_other_layouts_and_ranks(mode):
+    rng = np.random.default_rng(1)
+    cases = [
+        rng.standard_normal(17),
+        rng.standard_normal((7, 9, 5)),
+        np.asfortranarray(rng.standard_normal((20, 30))),
+        rng.standard_normal((40, 90))[::2, ::3],
+        rng.standard_normal((1, 6)),
+    ]
+    for x in cases:
+        for size in (1, 3, 8):
+            got = box_mean(x, size, mode)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == uniform_filter(x, size=size, mode=mode).tobytes()
+
+
+def test_box_mean_input_untouched_and_bad_arguments():
+    x = np.arange(12.0).reshape(3, 4)
+    before = x.copy()
+    assert box_mean(x, 1) is not x
+    box_mean(x, 3, "nearest")
+    assert np.array_equal(x, before)
+    with pytest.raises(ValueError):
+        box_mean(x, 0)
+    with pytest.raises(ValueError):
+        box_mean(x, 3, "reflect")

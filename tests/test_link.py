@@ -55,6 +55,21 @@ class TestBerFromSinr:
                 exact = float(0.5 * mpmath.erfc(mpmath.mpf(float(x)) / mpmath.sqrt(2)))
                 assert q_function(x) == pytest.approx(exact, rel=1e-12)
 
+    def test_q_function_within_3_ulp_of_mpmath(self):
+        # Against erfc of the same float argument x / sqrt(2): rounding that
+        # argument alone moves Q(26) by hundreds of ulp, whatever erfc does.
+        xs = np.linspace(0.0, 26.0, 1301)
+        got = q_function(xs)
+        with mpmath.workdps(40):
+            exact = np.array([float(0.5 * mpmath.erfc(mpmath.mpf(float(z))))
+                              for z in xs / np.sqrt(2.0)])
+        assert np.all(np.abs(got - exact) <= 3 * np.spacing(exact))
+
+    def test_q_function_keeps_shape(self):
+        assert isinstance(q_function(1.0), np.float64)
+        assert q_function(np.zeros((2, 3))).shape == (2, 3)
+        assert q_function([]).shape == (0,)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ber_from_sinr(-0.1, QamParams(4))
@@ -136,6 +151,21 @@ class TestEmpiricalBudget:
         est = empirical_link_budget(ch, mf, 1.0, 1.0, 100, SeedSpec(502))
         np.testing.assert_allclose(est.interference, budget.i_precode, atol=1e-12)
         np.testing.assert_allclose(est.interference_se, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_trials", [1, 50, 10_000])
+    @pytest.mark.parametrize("which", ["mf", "zf"])
+    def test_perfect_csi_oracle_is_exact(self, n_trials, which):
+        ch, mf, zf = channel_and_precoders(16, 8, 0.0, 26)
+        pre = mf if which == "mf" else zf
+        budget = link_budget(ch, pre, 3.0, 1.0)
+        est = empirical_link_budget(ch, pre, 3.0, 1.0, n_trials, SeedSpec(505))
+        assert np.all(est.desired_se == 0.0)
+        assert np.all(est.interference_se == 0.0)
+        # link_budget takes one matrix product, the oracle one row per user.
+        np.testing.assert_allclose(est.desired_power, budget.p_precode, rtol=1e-12)
+        np.testing.assert_allclose(
+            est.interference, budget.i_precode, rtol=1e-12, atol=1e-12 * budget.p_precode.max()
+        )
 
     @pytest.mark.parametrize("err_var", [0.01, 0.1])
     @pytest.mark.parametrize("which", ["mf", "zf"])

@@ -42,6 +42,8 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "link.empirical_link_budget",
             "channel.complex_gaussian[10000x16]",
             "channel.complex_gaussian[8x65536]",
+            "transceiver.qam_modulate[qam4,8x65536]",
+            "transceiver.qam_modulate[qam4,8x8192]",
             "transceiver.qam_demodulate[qam4,8x65536]",
             "transceiver.qam_demodulate[qam4,8x8192]",
             "transceiver.qam_demodulate[qam16,8x65536]",
@@ -50,6 +52,8 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "metrics.ssim[128x128,reference]",
             "metrics.ssim[1024x1024,array]",
             "metrics.ssim[1024x1024,reference]",
+            "inference.SmoothingDenoiser[128x128]",
+            "inference.SmoothingDenoiser[1024x1024]",
         }
         for layer in run["layers"].values():
             assert layer["n"] == 3 and layer["median"] > 0 and layer["iqr"] >= 0
