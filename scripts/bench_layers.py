@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the oracle, complex draw, QAM mapping, SSIM and the denoiser per call, into a BENCH JSON.
+"""Time the oracle, draws, bit planes, QAM mapping, SSIM and denoiser per call, into a BENCH JSON.
 
-    python3 scripts/bench_layers.py --out BENCH_7.json --label change
+    python3 scripts/bench_layers.py --out BENCH_8.json --label change
 
 Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
@@ -12,8 +12,7 @@ so a spell of host contention falls on all of them. Each layer gets the
 median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
 other labels already in the file are kept. SSIM is timed against the
-reference array and, where the checkout has ``metrics.Reference``, against
-a prebuilt one.
+reference array and against a prebuilt ``metrics.Reference``.
 """
 
 from __future__ import annotations
@@ -71,7 +70,9 @@ def _layers():
     from semimo.inference import SmoothingDenoiser
     from semimo.link import empirical_link_budget
     from semimo.precoding import mf_precoder
-    from semimo.transceiver import QamConstellation, qam_demodulate, qam_modulate
+    from semimo.transceiver import (
+        QamConstellation, qam_demodulate, qam_modulate, split_bit_planes,
+    )
 
     cfg = ExperimentConfig()
     err_var = from_db(-10.0)
@@ -115,9 +116,18 @@ def _layers():
     for size in (128, 1024):
         clean = synthetic_test_image(size, size)
         noisy = np.clip(clean + rng.normal(0, 10, clean.shape), 0, 255).astype(np.uint8)
-        references = {"array": clean}
-        if hasattr(metrics, "Reference"):  # checkouts before it time the array form only
-            references["reference"] = metrics.Reference(clean)
+        source = split_bit_planes(clean)
+        layers.append((
+            f"transceiver.split_bit_planes[{size}x{size}]",
+            {"size": size},
+            lambda image=clean: split_bit_planes(image),
+        ))
+        layers.append((
+            f"transceiver.BitPlaneSource.to_image[{size}x{size}]",
+            {"size": size},
+            source.to_image,
+        ))
+        references = {"array": clean, "reference": metrics.Reference(clean)}
         for form, reference in references.items():
             layers.append((
                 f"metrics.ssim[{size}x{size},{form}]",

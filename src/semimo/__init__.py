@@ -1,9 +1,9 @@
 """Link-level lab for multi-user MIMO downlink image transport.
 
-Rayleigh channels with a transmitter-side CSI error split, MF/ZF precoders
-with a cost probe, analytic link budgets against Monte-Carlo oracles,
-bit-plane QAM frame transport, contraction-operator reconstruction with
-performance bounds, and sweep/benchmark harnesses.
+Rayleigh channels with a transmitter-side CSI error split, MF/ZF precoders,
+analytic link budgets against Monte-Carlo oracles, bit-plane QAM frame
+transport, contraction-operator reconstruction with performance bounds, and
+sweep/benchmark harnesses.
 """
 
 from .channel import SeedSpec, draw_channel_set

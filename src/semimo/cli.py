@@ -8,10 +8,12 @@ from pathlib import Path
 
 from .bench import run_complexity_bench, write_bench_csv
 from .channel import SeedSpec
-from .config import ConfigError, build_operator, from_db, load_config
+from .config import ConfigError, from_db, load_config
 from .images import write_pgm
 from .precoding import Scheme
-from .sweeps import load_source, run_csi_error_sweep, run_snr_sweep, run_trial, score_frame
+from .sweeps import (
+    load_operator, load_source, run_csi_error_sweep, run_snr_sweep, run_trial, score_frame,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _reconstruct(cfg, out_path: Path) -> None:
     source = load_source(cfg)
-    operator = build_operator(cfg.operator)
+    operator = load_operator(cfg, source)
     err_var = from_db(cfg.recon_err_var_db)
     seed = SeedSpec(cfg.master_seed)
     trial = run_trial(

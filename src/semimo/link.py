@@ -59,9 +59,6 @@ class LinkBudget:
     i_precode: np.ndarray  # p sum_{j != k} |h_known_k^H f_j|^2
     i_error: np.ndarray  # p (K-1) err_var, constant across users
     sinr: np.ndarray
-    tx_power: float
-    noise_var: float
-    err_var: float
 
 
 def q_function(x):
@@ -98,10 +95,7 @@ def link_budget(
     n_users = channel.n_users
     i_error = np.full(n_users, tx_power * (n_users - 1) * channel.err_var)
     sinr = (p_precode + tx_power * channel.err_var) / (i_precode + i_error + noise_var)
-    return LinkBudget(
-        p_precode, i_precode, i_error, sinr, float(tx_power), float(noise_var),
-        channel.err_var,
-    )
+    return LinkBudget(p_precode, i_precode, i_error, sinr)
 
 
 @dataclass(frozen=True)

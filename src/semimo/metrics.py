@@ -45,21 +45,20 @@ class Reference:
 
     ``ssim``, ``psnr``, ``mae`` and ``metric_report`` take one wherever they
     take the reference array, and give the same float. ``image`` is the
-    reference as float; ``mx`` and ``mxx`` are the window means of the image
-    and of its square for ``window``. All three are read-only, so threads may
-    share one Reference.
+    reference as float; ``mx`` and ``mxx`` are the SSIM window means of the
+    image and of its square. All three are read-only, so threads may share
+    one Reference.
     """
 
-    def __init__(self, image, window: int = SSIM_WINDOW):
+    def __init__(self, image):
         a = np.array(image, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"expected 2-D images, got shape {a.shape}")
-        if min(a.shape) < window:
-            raise ValueError(f"image {a.shape} smaller than {window}x{window} window")
+        if min(a.shape) < SSIM_WINDOW:
+            raise ValueError(f"image {a.shape} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
         self.image = a
-        self.window = window
-        self.mx = _window_means(a, window)
-        self.mxx = _window_means(a * a, window)
+        self.mx = _window_means(a)
+        self.mxx = _window_means(a * a)
         for arr in (self.image, self.mx, self.mxx):
             arr.flags.writeable = False
 
@@ -77,42 +76,43 @@ def _pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def psnr(ref, test, cap_db: float = PSNR_CAP_DB) -> float:
+def psnr(ref, test) -> float:
     """Peak signal-to-noise ratio 10*log10(255^2 / MSE) in dB.
 
-    Identical images would be +inf; they return ``cap_db`` instead so CSV
-    output stays finite.
+    Identical images would be +inf; they return ``PSNR_CAP_DB`` instead so
+    CSV output stays finite.
     """
     a, b = _pair(ref, test)
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
-        return cap_db
-    return min(10.0 * np.log10(255.0**2 / mse), cap_db)
+        return PSNR_CAP_DB
+    return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
 
 
-def _window_means(a: np.ndarray, window: int) -> np.ndarray:
-    """Means over every fully contained window x window patch."""
-    m = box_mean(a, window, "constant")
-    lo = window // 2
-    hi_trim = window - 1 - lo
+def _window_means(a: np.ndarray) -> np.ndarray:
+    """Means over every fully contained SSIM_WINDOW x SSIM_WINDOW patch."""
+    m = box_mean(a, SSIM_WINDOW, "constant")
+    lo = SSIM_WINDOW // 2
+    hi_trim = SSIM_WINDOW - 1 - lo
     return m[lo : a.shape[0] - hi_trim, lo : a.shape[1] - hi_trim]
 
 
-def ssim(ref, test, window: int = SSIM_WINDOW, c1: float = SSIM_C1, c2: float = SSIM_C2) -> float:
-    """Mean structural similarity over uniform square windows.
+def ssim(ref, test) -> float:
+    """Mean structural similarity over uniform SSIM_WINDOW x SSIM_WINDOW windows.
 
-    Per window: (2*mx*my + c1)*(2*cov + c2) / ((mx^2 + my^2 + c1)*(vx + vy + c2)),
-    with population (divide-by-n) moments. Uniform windows rather than
-    Gaussian weighting keep the value exactly reproducible. A ``ref`` given
-    as a Reference for this ``window`` skips filtering the reference again.
+    Per window: (2*mx*my + C1)*(2*cov + C2) / ((mx^2 + my^2 + C1)*(vx + vy + C2)),
+    with population (divide-by-n) moments and the pinned SSIM_C1, SSIM_C2.
+    Uniform windows rather than Gaussian weighting keep the value exactly
+    reproducible. A ``ref`` given as a Reference skips filtering the
+    reference again.
     """
-    if not (isinstance(ref, Reference) and ref.window == window):
-        ref = Reference(_plain(ref), window)
+    if not isinstance(ref, Reference):
+        ref = Reference(ref)
     a, b = _pair(ref, test)
     mx, mxx = ref.mx, ref.mxx
-    my = _window_means(b, window)
-    myy = _window_means(b * b, window)
-    mxy = _window_means(a * b, window)
+    my = _window_means(b)
+    myy = _window_means(b * b)
+    mxy = _window_means(a * b)
     # The formula's operations in its own order, on as few new arrays as
     # possible: 2*mx*my is (2*mx)*my, which equals 2*(mx*my) exactly.
     mx_my = mx * my
@@ -122,14 +122,14 @@ def ssim(ref, test, window: int = SSIM_WINDOW, c1: float = SSIM_C1, c2: float = 
     myy -= my  # vy
     mxy -= mx_my  # cov
     den += my
-    den += c1
+    den += SSIM_C1
     vx += myy
-    vx += c2
+    vx += SSIM_C2
     den *= vx
     mx_my *= 2
-    mx_my += c1
+    mx_my += SSIM_C1
     mxy *= 2
-    mxy += c2
+    mxy += SSIM_C2
     mx_my *= mxy
     mx_my /= den
     return float(mx_my.mean())

@@ -1,4 +1,4 @@
-"""MF and ZF downlink precoder construction plus a wall-time cost probe."""
+"""MF and ZF downlink precoder construction and the build timings of ``semimo bench``."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "GramConditionError",
     "mf_precoder",
     "zf_precoder",
-    "precoder_cost_probe",
     "precoder_build_times",
     "probe_channel",
     "DEFAULT_COND_LIMIT",
@@ -74,14 +73,14 @@ def mf_precoder(h_known) -> Precoder:
     return Precoder(f, Scheme.MF)
 
 
-def zf_precoder(h_known, cond_limit: float = DEFAULT_COND_LIMIT) -> Precoder:
+def zf_precoder(h_known) -> Precoder:
     """Zero forcing: each beam lies in the null space of the other users.
 
     Takes the columns of H (H^H H)^{-1} and renormalizes them to unit power.
     The K x K Gram matrix goes through an LU solve rather than an entrywise
-    inverse, and is rejected when its condition number exceeds ``cond_limit``
-    (duplicate or near-parallel user channels; nothing is regularized
-    silently).
+    inverse, and is rejected when its condition number exceeds
+    DEFAULT_COND_LIMIT (duplicate or near-parallel user channels; nothing is
+    regularized silently).
     """
     h = _as_channel_matrix(h_known)
     n_tx, n_users = h.shape
@@ -91,10 +90,10 @@ def zf_precoder(h_known, cond_limit: float = DEFAULT_COND_LIMIT) -> Precoder:
         )
     gram = h.conj().T @ h
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > DEFAULT_COND_LIMIT:
         raise GramConditionError(
             f"Gram matrix condition number {cond:.3e} exceeds limit "
-            f"{cond_limit:.3e}; user channels are (near-)linearly dependent"
+            f"{DEFAULT_COND_LIMIT:.3e}; user channels are (near-)linearly dependent"
         )
     inv_gram = np.linalg.solve(gram, np.eye(n_users, dtype=np.complex128))
     raw = h @ inv_gram
@@ -104,7 +103,7 @@ def zf_precoder(h_known, cond_limit: float = DEFAULT_COND_LIMIT) -> Precoder:
 
 
 def probe_channel(n_tx: int, n_users: int, seed: int = 0) -> np.ndarray:
-    """The unit-power Rayleigh channel that the cost probe builds precoders for."""
+    """The unit-power Rayleigh channel that ``semimo bench`` builds precoders for."""
     if n_tx < 1 or n_users < 1:
         raise ValueError("sizes must be >= 1")
     rng = np.random.default_rng(seed)
@@ -127,18 +126,3 @@ def precoder_build_times(scheme: Scheme | str, h: np.ndarray, count: int) -> np.
         samples[i] = time.perf_counter() - start
     return samples
 
-
-def precoder_cost_probe(
-    scheme: Scheme | str,
-    n_tx: int,
-    n_users: int,
-    repetitions: int = 100,
-    seed: int = 0,
-) -> float:
-    """Median wall-clock seconds to construct one precoder of the given size.
-
-    Times construction only: the channel is drawn once outside the loop and a
-    warm-up build runs before measurement starts.
-    """
-    h = probe_channel(n_tx, n_users, seed)
-    return float(np.median(precoder_build_times(scheme, h, repetitions)))

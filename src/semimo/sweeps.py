@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import SeedSpec, draw_channel_set
 from .config import ConfigError, ExperimentConfig, build_operator, from_db, to_db
-from .inference import apply_operator
+from .inference import AffineContraction, apply_operator
 from .link import (
     EmpiricalBudget,
     LinkBudget,
@@ -33,6 +33,7 @@ __all__ = [
     "Trial",
     "cell_entropy",
     "load_source",
+    "load_operator",
     "run_trial",
     "score_frame",
     "run_snr_sweep",
@@ -69,9 +70,10 @@ def cell_entropy(master_seed: int, scheme: Scheme, snr_db: float, err_var: float
     the grid, so removing other grid points never changes a cell's result,
     and the perfect-CSI point of a CSI sweep reuses the SNR sweep's seeds.
     The coordinates hash as Python floats, so a ``np.float64`` grid value
-    seeds exactly like the equal ``float``.
+    seeds exactly like the equal ``float``, and -0.0 like 0.0.
     """
-    blob = f"{int(master_seed)}|{Scheme(scheme).value}|{float(snr_db)!r}|{float(err_var)!r}"
+    snr_db, err_var = float(snr_db) + 0.0, float(err_var) + 0.0  # -0.0 + 0.0 is 0.0
+    blob = f"{int(master_seed)}|{Scheme(scheme).value}|{snr_db!r}|{err_var!r}"
     digest = hashlib.sha256(blob.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -81,6 +83,16 @@ def load_source(cfg: ExperimentConfig) -> BitPlaneSource:
     if cfg.n_users != 8:
         raise ConfigError(f"each of the 8 bit planes needs its own user: n_users is {cfg.n_users}")
     return split_bit_planes(cfg.source_image())
+
+
+def load_operator(cfg: ExperimentConfig, source: BitPlaneSource):
+    """The configured reconstruction operator; a PGM affine anchor must fit ``source``."""
+    operator = build_operator(cfg.operator)
+    shape = (source.height, source.width)
+    anchor = operator.anchor if isinstance(operator, AffineContraction) else None
+    if anchor is not None and anchor.ndim and anchor.shape != shape:
+        raise ConfigError(f"affine anchor shape {anchor.shape} != image shape {shape}")
+    return operator
 
 
 @dataclass(frozen=True)
@@ -242,7 +254,7 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
     source = load_source(cfg)
     # Read-only, so the cells share it under any worker count.
     reference = Reference(source.to_image())
-    operator = build_operator(cfg.operator)
+    operator = load_operator(cfg, source)
     external = ExternalMetric(cfg.external_metric) if cfg.external_metric else None
 
     cells = [

@@ -41,23 +41,27 @@ def _as_bits(bits) -> np.ndarray:
 class BitPlaneSource:
     """An 8-bit grayscale image as weight-ordered binary streams.
 
-    ``planes[b]`` holds bit b of every pixel in row-major order (b = 0 is the
-    least significant bit, weight 2^b), so recombining with those weights
-    reproduces the pixel array exactly.
+    ``planes`` is one read-only ``(n_streams, width*height)`` uint8 array of
+    1 to 8 rows: ``planes[b]`` holds bit b of every pixel in row-major order
+    (b = 0 is the least significant bit, weight 2^b), so recombining with
+    those weights reproduces the pixel array exactly. Any array or sequence
+    of equal-length rows is accepted; it is checked once, here.
     """
 
     width: int
     height: int
-    planes: tuple[np.ndarray, ...]
+    planes: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.width * self.height
-        for p in self.planes:
-            if p.size != n:
-                raise ValueError(
-                    f"plane length {p.size} != width*height = {n}"
-                )
-            _as_bits(p)
+        planes = np.asarray(self.planes)
+        if planes.ndim != 2 or planes.shape[1] != n or not 1 <= len(planes) <= 8:
+            raise ValueError(
+                f"expected 1 to 8 bit planes of width*height = {n}, got shape {planes.shape}"
+            )
+        planes = _as_bits(planes).view()  # a view: the caller's array stays writeable
+        planes.flags.writeable = False
+        object.__setattr__(self, "planes", planes)
 
     @property
     def n_streams(self) -> int:
@@ -65,16 +69,15 @@ class BitPlaneSource:
 
     def to_image(self) -> np.ndarray:
         """Recombine the planes back into a height x width uint8 image."""
-        return combine_bit_planes(self.planes).reshape(self.height, self.width)
+        pixels = self.planes[-1].copy()
+        for plane in self.planes[-2::-1]:  # most significant first, in place
+            pixels <<= 1
+            pixels |= plane
+        return pixels.reshape(self.height, self.width)
 
 
-def split_bit_planes(image, n_streams: int = 8) -> BitPlaneSource:
-    """Split an 8-bit grayscale image into its bit planes.
-
-    Only 8 streams are supported: one per bit of an 8-bit pixel.
-    """
-    if n_streams != 8:
-        raise ValueError(f"only 8-bit sources are supported, got n_streams={n_streams}")
+def split_bit_planes(image) -> BitPlaneSource:
+    """Split an 8-bit grayscale image into its 8 bit planes."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale image, got shape {img.shape}")
@@ -83,23 +86,18 @@ def split_bit_planes(image, n_streams: int = 8) -> BitPlaneSource:
             raise ValueError("image must hold integers in [0, 255]")
         img = img.astype(np.uint8)
     flat = img.ravel()
-    planes = tuple(((flat >> b) & 1).astype(np.uint8) for b in range(8))
+    planes = np.empty((8, flat.size), dtype=np.uint8)
+    for b, plane in enumerate(planes):
+        np.right_shift(flat, b, out=plane)
+        plane &= 1
     height, width = img.shape
     return BitPlaneSource(width, height, planes)
 
 
 def combine_bit_planes(planes) -> np.ndarray:
-    """Weighted recombination sum_b 2^b * plane_b into flat uint8 pixels."""
-    if len(planes) == 0 or len(planes) > 8:
-        raise ValueError(f"need between 1 and 8 planes, got {len(planes)}")
-    length = len(planes[0])
-    acc = np.zeros(length, dtype=np.uint8)
-    for b, plane in enumerate(planes):
-        bits = _as_bits(plane)
-        if bits.size != length:
-            raise ValueError(f"plane {b} length {bits.size} != {length}")
-        acc += bits << b
-    return acc
+    """Flat uint8 pixels sum_b 2^b * plane_b from 1 to 8 equal-length bit planes."""
+    bits = np.asarray(planes)
+    return BitPlaneSource(bits.shape[-1], 1, bits).to_image()[0]
 
 
 def _gray(i: np.ndarray) -> np.ndarray:
@@ -235,7 +233,7 @@ def transmit_frame(
         raise ValueError("need tx_power > 0 and noise_var >= 0")
 
     n_bits = source.width * source.height
-    sent = np.stack(source.planes)  # (K, n_bits)
+    sent = source.planes  # (K, n_bits)
     amp = np.sqrt(tx_power)
     cross = channel.h_true.conj().T @ precoder.matrix_f  # cross[k, j] = h_k^H f_j
     known = channel.h_known.conj().T @ precoder.matrix_f if equalize_with_known_gain else cross
@@ -259,5 +257,5 @@ def transmit_frame(
     bit_errors[undetectable] = (n_bits + 1) // 2
     ber = bit_errors / n_bits
     ber[undetectable] = 0.5
-    out = BitPlaneSource(source.width, source.height, tuple(detected))
+    out = BitPlaneSource(source.width, source.height, detected)
     return FrameResult(out, ber, bit_errors, n_bits)

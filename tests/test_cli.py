@@ -97,11 +97,12 @@ def test_missing_image_is_config_error(tmp_path):
         "err_var_grid_db = -inf, nan\n",
         "fixed_snr_db = 4000\nsnr_grid_db = 0, 4000\n",
         "err_var_grid_db = -inf, 4000\nrecon_err_var_db = 4000\n",
+        "operator = affine:factor=0.5,anchor={tmp}/tiny.pgm\n",
     ],
     ids=[
         "non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template",
         "zero-noise", "zero-error-draws", "nan-fixed-snr", "inf-snr", "nan-err-var",
-        "huge-snr", "huge-err-var",
+        "huge-snr", "huge-err-var", "affine-anchor-shape",
     ],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):

@@ -149,15 +149,6 @@ class TestReference:
         assert metric_report(noisy, ref) == metric_report(noisy, clean)
         assert ssim(ref, clean) == pytest.approx(1.0)
 
-    def test_other_window_scores_like_the_array(self):
-        rng = np.random.default_rng(3)
-        clean = rng.integers(0, 256, (20, 24), dtype=np.uint8)
-        noisy = rng.integers(0, 256, (20, 24), dtype=np.uint8)
-        built_for_5 = Reference(clean, window=5)
-        assert ssim(built_for_5, noisy) == ssim(clean, noisy)
-        assert ssim(built_for_5, noisy, window=5) == ssim(clean, noisy, window=5)
-        assert ssim(Reference(clean), noisy, window=7) == ssim_whole_arrays(clean, noisy, 7)
-
     def test_shape_and_size_checked(self):
         ref = Reference(np.zeros((16, 16)))
         for metric in (ssim, psnr, mae):

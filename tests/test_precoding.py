@@ -9,7 +9,8 @@ from semimo.precoding import (
     GramConditionError,
     Scheme,
     mf_precoder,
-    precoder_cost_probe,
+    precoder_build_times,
+    probe_channel,
     zf_precoder,
 )
 
@@ -118,11 +119,8 @@ def test_construction_is_deterministic():
 
 
 def test_cost_probe_smoke():
-    duration = precoder_cost_probe(Scheme.MF, 16, 8, repetitions=100)
-    assert 0 < duration < 1.0
-    duration = precoder_cost_probe("zf", 16, 8, repetitions=50)
-    assert 0 < duration < 1.0
+    # Positive timings are covered by the bench's own tests.
     with pytest.raises(ValueError):
-        precoder_cost_probe(Scheme.MF, 0, 1)
+        probe_channel(0, 1)
     with pytest.raises(ValueError):
-        precoder_cost_probe(Scheme.MF, 4, 2, repetitions=0)
+        precoder_build_times(Scheme.MF, probe_channel(4, 2), 0)

@@ -3,14 +3,36 @@ import json
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def load_file(name, path, monkeypatch=None):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:  # dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_file(name, SCRIPTS / f"{name}.py")
+
+
+def test_perfbench_trace_targets_all_resolve(monkeypatch):
+    # A renamed target would silently move its time into the caller's span.
+    tracing = load_file("perfbench_tracing", ROOT / "perfbench" / "tracing.py", monkeypatch)
+    workloads = load_file("perfbench_workloads", ROOT / "perfbench" / "workloads.py", monkeypatch)
+    tracer = tracing.Tracer()
+    try:
+        assert tracer.install(workloads.TRACE_TARGETS) == []
+    finally:
+        tracer.uninstall()
+    from semimo import sweeps, transceiver
+
+    assert not hasattr(transceiver.FrameResult.image, "__wrapped__")
+    assert not hasattr(sweeps.split_bit_planes, "__wrapped__")
 
 
 def test_demo_reconstruction_writes_every_stage(tmp_path, monkeypatch, capsys):
@@ -48,6 +70,10 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "transceiver.qam_demodulate[qam4,8x8192]",
             "transceiver.qam_demodulate[qam16,8x65536]",
             "transceiver.qam_demodulate[qam16,8x8192]",
+            "transceiver.split_bit_planes[128x128]",
+            "transceiver.split_bit_planes[1024x1024]",
+            "transceiver.BitPlaneSource.to_image[128x128]",
+            "transceiver.BitPlaneSource.to_image[1024x1024]",
             "metrics.ssim[128x128,array]",
             "metrics.ssim[128x128,reference]",
             "metrics.ssim[1024x1024,array]",

@@ -197,6 +197,8 @@ def test_cell_entropy_stability():
     # numpy scalars (the default grids) seed like the equal Python floats.
     assert a == cell_entropy(1, Scheme.MF, np.float64(10.0), 0.0)
     assert a == cell_entropy(1, Scheme.MF, 10.0, np.float64(0.0))
+    # Both zeros are one coordinate (a config may spell 0 as -0).
+    assert cell_entropy(1, Scheme.MF, -0.0, -0.0) == cell_entropy(1, Scheme.MF, 0.0, 0.0)
     assert 0 <= a < 2**64
 
 

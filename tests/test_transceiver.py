@@ -43,9 +43,27 @@ class TestBitPlanes:
         planes[7] = np.ones(4, dtype=np.uint8)
         assert np.all(combine_bit_planes(planes) == 128)
 
-    def test_rejects_other_stream_counts(self):
+    def test_planes_are_one_read_only_array(self):
+        rng = np.random.default_rng(1)
+        img = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
+        src = split_bit_planes(img)
+        assert src.planes.shape == (8, 35) and src.planes.dtype == np.uint8
+        assert not src.planes.flags.writeable
         with pytest.raises(ValueError):
-            split_bit_planes(np.zeros((2, 2), dtype=np.uint8), n_streams=4)
+            src.planes[0, 0] = 1
+        rows = BitPlaneSource(7, 5, tuple(np.array(p) for p in src.planes))
+        assert np.array_equal(rows.planes, src.planes) and not rows.planes.flags.writeable
+        assert np.array_equal(rows.to_image(), img)
+        # Only the source's view is read-only, not the caller's array.
+        mine = np.array(src.planes)
+        BitPlaneSource(7, 5, mine)
+        assert mine.flags.writeable
+
+    def test_plane_shape_checked(self):
+        for planes in (np.zeros((8, 34), np.uint8), np.zeros((9, 35), np.uint8),
+                       np.zeros((0, 35), np.uint8), np.zeros(35, np.uint8)):
+            with pytest.raises(ValueError):
+                BitPlaneSource(7, 5, planes)
 
     def test_combine_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
