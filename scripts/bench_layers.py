@@ -77,15 +77,13 @@ def _layers():
     cfg = ExperimentConfig()
     err_var = from_db(-10.0)
     channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, SeedSpec(cfg.master_seed))
-    precoder = mf_precoder(channel.h_known)
+    f = mf_precoder(channel.h_known)
     tx_power = cfg.tx_power(cfg.fixed_snr_db)
     layers = [(
         "link.empirical_link_budget",
         {"scheme": "mf", "n_tx": cfg.n_tx, "n_users": cfg.n_users, "err_var": err_var,
          "n_trials": cfg.n_error_draws, "snr_db": cfg.fixed_snr_db},
-        lambda: empirical_link_budget(
-            channel, precoder, tx_power, cfg.noise_var, cfg.n_error_draws, SeedSpec(1)
-        ),
+        lambda: empirical_link_budget(channel, f, tx_power, cfg.n_error_draws, SeedSpec(1)),
     )]
     rng = SeedSpec(2).rng()
     for shape in ((10000, 16), (8, 65536)):

@@ -11,8 +11,6 @@ __all__ = [
     "ChannelSet",
     "complex_gaussian",
     "draw_channel_set",
-    "dump_channel_set",
-    "load_channel_set",
 ]
 
 
@@ -73,11 +71,6 @@ class ChannelSet:
                 f"{self.h_true.shape} and {self.h_known.shape}"
             )
 
-    @property
-    def error(self) -> np.ndarray:
-        """The CSI error matrix h_true - h_known."""
-        return self.h_true - self.h_known
-
 
 def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with the given variance.
@@ -126,44 +119,3 @@ def draw_channel_set(
     h_known.flags.writeable = False
     h_true.flags.writeable = False
     return ChannelSet(n_tx, n_users, h_true, h_known, float(err_var))
-
-
-def _format_complex(z: complex) -> str:
-    re, im = float(z.real), float(z.imag)
-    sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}j"
-
-
-def dump_channel_set(channel: ChannelSet, path) -> None:
-    """Write a ChannelSet as plain text.
-
-    Header line ``n_tx n_users err_var``, then the rows of h_true followed by
-    the rows of h_known, one complex entry per token in re+imj form.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{channel.n_tx} {channel.n_users} {channel.err_var!r}\n")
-        for matrix in (channel.h_true, channel.h_known):
-            for row in matrix:
-                fh.write(" ".join(_format_complex(z) for z in row) + "\n")
-
-
-def load_channel_set(path) -> ChannelSet:
-    """Inverse of dump_channel_set."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"malformed header in {path!s}: {header}")
-        n_tx, n_users, err_var = int(header[0]), int(header[1]), float(header[2])
-        entries = [
-            [complex(tok) for tok in fh.readline().split()] for _ in range(2 * n_tx)
-        ]
-    stacked = np.array(entries, dtype=np.complex128)
-    if stacked.shape != (2 * n_tx, n_users):
-        raise ValueError(
-            f"expected {2 * n_tx}x{n_users} entries in {path!s}, got {stacked.shape}"
-        )
-    h_true = np.asfortranarray(stacked[:n_tx])
-    h_known = np.asfortranarray(stacked[n_tx:])
-    h_true.flags.writeable = False
-    h_known.flags.writeable = False
-    return ChannelSet(n_tx, n_users, h_true, h_known, err_var)

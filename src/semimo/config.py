@@ -180,7 +180,7 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!s}: {exc}") from exc
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()

@@ -16,7 +16,7 @@ __all__ = ["PgmHook"]
 class PgmHook:
     """Shared core of the external operator and metric hooks.
 
-    A subclass sets its ``placeholders``, its ``error`` type and its default
+    A subclass sets its ``placeholders``, its ``error`` type and its
     ``timeout`` in seconds. Each ``{name}`` placeholder becomes the path of
     ``name.pgm`` in a fresh temporary directory; other braces, such as an awk
     program's, reach the command unchanged. A command that cannot be split or
@@ -28,13 +28,11 @@ class PgmHook:
     error: type[Exception]
     timeout: float
 
-    def __init__(self, command_template: str, timeout: float | None = None):
+    def __init__(self, command_template: str):
         if not all(f"{{{name}}}" in command_template for name in self.placeholders):
             wanted = " and ".join(f"{{{name}}}" for name in self.placeholders)
             raise ValueError(f"command template must contain {wanted}")
         self.command_template = command_template
-        if timeout is not None:
-            self.timeout = timeout
 
     def _run(self, images: dict, output: str | None = None):
         """Run on ``images`` (by placeholder); return stdout and the ``output`` image."""

@@ -16,7 +16,6 @@ __all__ = [
     "AffineContraction",
     "SmoothingDenoiser",
     "ExternalCommandOperator",
-    "compose",
     "apply_operator",
     "estimate_rho",
     "estimate_bias",
@@ -51,6 +50,8 @@ class AffineContraction:
         if not 0.0 <= factor <= 1.0:
             raise ValueError(f"factor must lie in [0, 1], got {factor}")
         self.anchor = np.asarray(anchor, dtype=float)
+        if not np.all(np.isfinite(self.anchor)):
+            raise ValueError("anchor must be finite")
         self.factor = float(factor)
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
@@ -80,8 +81,8 @@ class SmoothingDenoiser:
     """
 
     def __init__(self, strength: float, size: int = 3):
-        if strength < 0:
-            raise ValueError(f"strength must be >= 0, got {strength}")
+        if not 0 <= strength < np.inf:
+            raise ValueError(f"strength must be finite and >= 0, got {strength}")
         if size < 2:
             raise ValueError(f"kernel size must be >= 2, got {size}")
         self.strength = float(strength)
@@ -112,18 +113,6 @@ class ExternalCommandOperator(PgmHook):
     def __call__(self, image: np.ndarray) -> np.ndarray:
         _, result = self._run({"in": image}, output="out")
         return result.astype(float)
-
-
-def compose(*operators):
-    """Chain operators left to right: compose(f, g)(x) applies f first."""
-
-    def chained(image):
-        out = image
-        for op in operators:
-            out = op(out)
-        return out
-
-    return chained
 
 
 def apply_operator(op, image) -> np.ndarray:

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, SeedSpec, complex_gaussian
-from .precoding import Precoder
 
 __all__ = [
     "QamParams",
@@ -72,9 +71,9 @@ def q_function(x):
 
 
 def link_budget(
-    channel: ChannelSet, precoder: Precoder, tx_power: float, noise_var: float
+    channel: ChannelSet, f: np.ndarray, tx_power: float, noise_var: float
 ) -> LinkBudget:
-    """Analytic power split seen by each user, averaged over the CSI error.
+    """Analytic power split seen by each user under ``f``, averaged over the CSI error.
 
     All cross terms come from the transmitter-known channel; the expectation
     over the error is already folded in as the p*err_var and p*(K-1)*err_var
@@ -85,7 +84,6 @@ def link_budget(
     if noise_var <= 0:
         raise ValueError(f"noise_var must be > 0, got {noise_var}")
     h = channel.h_known
-    f = precoder.matrix_f
     if f.shape != h.shape:
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
     cross = np.abs(h.conj().T @ f) ** 2  # cross[k, j] = |h_k^H f_j|^2
@@ -111,15 +109,13 @@ class EmpiricalBudget:
     interference: np.ndarray
     desired_se: np.ndarray
     interference_se: np.ndarray
-    sinr: np.ndarray
     n_trials: int
 
 
 def empirical_link_budget(
     channel: ChannelSet,
-    precoder: Precoder,
+    f: np.ndarray,
     tx_power: float,
-    noise_var: float,
     n_trials: int,
     seed: SeedSpec,
 ) -> EmpiricalBudget:
@@ -138,7 +134,6 @@ def empirical_link_budget(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     h = channel.h_known
-    f = precoder.matrix_f
     if f.shape != h.shape:
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
     n_tx, n_users = h.shape
@@ -171,10 +166,7 @@ def empirical_link_budget(
         )
     for estimate in (desired, interference, desired_se, interference_se):
         estimate *= tx_power
-    sinr = desired / (interference + noise_var)
-    return EmpiricalBudget(
-        desired, interference, desired_se, interference_se, sinr, n_trials
-    )
+    return EmpiricalBudget(desired, interference, desired_se, interference_se, n_trials)
 
 
 def ber_from_sinr(sinr, qam: QamParams):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -12,7 +11,6 @@ from .channel import complex_gaussian
 
 __all__ = [
     "Scheme",
-    "Precoder",
     "DegenerateChannelError",
     "GramConditionError",
     "mf_precoder",
@@ -38,14 +36,6 @@ class GramConditionError(ValueError):
     """The K x K Gram matrix is too ill-conditioned to invert for ZF."""
 
 
-@dataclass(frozen=True)
-class Precoder:
-    """Unit-column-norm precoding matrix and the scheme that built it."""
-
-    matrix_f: np.ndarray  # n_tx x n_users, ||f_k|| = 1
-    scheme: Scheme
-
-
 def _as_channel_matrix(h_known) -> np.ndarray:
     h = np.asfortranarray(h_known, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
@@ -53,11 +43,12 @@ def _as_channel_matrix(h_known) -> np.ndarray:
     return h
 
 
-def mf_precoder(h_known) -> Precoder:
+def mf_precoder(h_known) -> np.ndarray:
     """Matched filter: each beam points along its own user's channel.
 
     f_k = h_known[:, k] / ||h_known[:, k]||, built user by user; interference
-    between users is ignored entirely.
+    between users is ignored entirely. Returns the read-only ``(n_tx,
+    n_users)`` matrix F with unit-norm columns.
     """
     h = _as_channel_matrix(h_known)
     f = np.empty(h.shape, dtype=np.complex128, order="F")
@@ -70,17 +61,18 @@ def mf_precoder(h_known) -> Precoder:
         # complex-by-real multiply gives equal values in a third of the time.
         np.multiply(col, 1.0 / norm, out=f[:, k])
     f.flags.writeable = False
-    return Precoder(f, Scheme.MF)
+    return f
 
 
-def zf_precoder(h_known) -> Precoder:
+def zf_precoder(h_known) -> np.ndarray:
     """Zero forcing: each beam lies in the null space of the other users.
 
     Takes the columns of H (H^H H)^{-1} and renormalizes them to unit power.
     The K x K Gram matrix goes through an LU solve rather than an entrywise
     inverse, and is rejected when its condition number exceeds
     DEFAULT_COND_LIMIT (duplicate or near-parallel user channels; nothing is
-    regularized silently).
+    regularized silently). Returns the read-only ``(n_tx, n_users)`` matrix
+    F with unit-norm columns.
     """
     h = _as_channel_matrix(h_known)
     n_tx, n_users = h.shape
@@ -99,7 +91,7 @@ def zf_precoder(h_known) -> Precoder:
     raw = h @ inv_gram
     f = np.asfortranarray(raw / np.linalg.norm(raw, axis=0))
     f.flags.writeable = False
-    return Precoder(f, Scheme.ZF)
+    return f
 
 
 def probe_channel(n_tx: int, n_users: int, seed: int = 0) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -117,18 +118,18 @@ def run_trial(
     """
     tx_power = cfg.tx_power(snr_db)
     channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, channel_seed)
-    precoder = _BUILDERS[scheme](channel.h_known)
-    budget = link_budget(channel, precoder, tx_power, cfg.noise_var)
+    f = _BUILDERS[scheme](channel.h_known)
+    budget = link_budget(channel, f, tx_power, cfg.noise_var)
     bers = ber_from_sinr(budget.sinr, QamParams(cfg.qam_order))
     oracle = None
     if oracle_seed is not None:
         oracle = empirical_link_budget(
-            channel, precoder, tx_power, cfg.noise_var, cfg.n_error_draws, oracle_seed
+            channel, f, tx_power, cfg.n_error_draws, oracle_seed
         )
     constellation = QamConstellation.square(cfg.qam_order)
     frames = tuple(
         transmit_frame(
-            source, channel, precoder, tx_power, cfg.noise_var, constellation, seed,
+            source, channel, f, tx_power, cfg.noise_var, constellation, seed,
             equalize_with_known_gain=cfg.equalize_with_known_gain,
         )
         for seed in frame_seeds
@@ -318,15 +319,13 @@ def write_csv(rows: list[dict], path) -> None:
 
     The first line is a timestamp comment; everything after it is a pure
     function of the configuration, so reruns are byte-identical apart from
-    that one line.
+    that one line. A cell holding a comma, quote or newline (a failure
+    message) is quoted, so every row parses to the same columns.
     """
     stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    lines = [
-        f"# generated_at={stamp}",
-        f"# ssim={SSIM_VARIANT}",
-        ",".join(CSV_COLUMNS),
-    ]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(name, "")) for name in CSV_COLUMNS))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# generated_at={stamp}\n# ssim={SSIM_VARIANT}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow(_format_cell(row.get(name, "")) for name in CSV_COLUMNS)

@@ -8,14 +8,12 @@ import numpy as np
 
 from .channel import ChannelSet, SeedSpec, complex_gaussian
 from .link import square_qam_bits
-from .precoding import Precoder
 
 __all__ = [
     "BitPlaneSource",
     "QamConstellation",
     "FrameResult",
     "split_bit_planes",
-    "combine_bit_planes",
     "qam_modulate",
     "qam_demodulate",
     "transmit_frame",
@@ -94,12 +92,6 @@ def split_bit_planes(image) -> BitPlaneSource:
     return BitPlaneSource(width, height, planes)
 
 
-def combine_bit_planes(planes) -> np.ndarray:
-    """Flat uint8 pixels sum_b 2^b * plane_b from 1 to 8 equal-length bit planes."""
-    bits = np.asarray(planes)
-    return BitPlaneSource(bits.shape[-1], 1, bits).to_image()[0]
-
-
 def _gray(i: np.ndarray) -> np.ndarray:
     return i ^ (i >> 1)
 
@@ -115,7 +107,6 @@ class QamConstellation:
     bit.
     """
 
-    order: int
     points: np.ndarray
     bits_per_symbol: int
     levels: np.ndarray  # per-axis amplitudes, ascending by level index
@@ -131,7 +122,7 @@ class QamConstellation:
         points = (axis[:, None] + 1j * axis[None, :]).ravel()
         points.flags.writeable = False
         levels.flags.writeable = False
-        return cls(order, points, bits_per_symbol, levels)
+        return cls(points, bits_per_symbol, levels)
 
 
 def qam_modulate(bits, constellation: QamConstellation) -> np.ndarray:
@@ -203,14 +194,14 @@ class FrameResult:
 def transmit_frame(
     source: BitPlaneSource,
     channel: ChannelSet,
-    precoder: Precoder,
+    f: np.ndarray,
     tx_power: float,
     noise_var: float,
     constellation: QamConstellation,
     seed: SeedSpec,
     equalize_with_known_gain: bool = False,
 ) -> FrameResult:
-    """Send each bit plane to its user through the true channel and detect.
+    """Send each bit plane to its user through ``f`` and the true channel, and detect.
 
     Stream k rides user k: all users transmit symbol-synchronously with equal
     power, so user k receives its own stream through h_k^H f_k plus every
@@ -235,8 +226,8 @@ def transmit_frame(
     n_bits = source.width * source.height
     sent = source.planes  # (K, n_bits)
     amp = np.sqrt(tx_power)
-    cross = channel.h_true.conj().T @ precoder.matrix_f  # cross[k, j] = h_k^H f_j
-    known = channel.h_known.conj().T @ precoder.matrix_f if equalize_with_known_gain else cross
+    cross = channel.h_true.conj().T @ f  # cross[k, j] = h_k^H f_j
+    known = channel.h_known.conj().T @ f if equalize_with_known_gain else cross
     gains = amp * np.diagonal(known)
     undetectable = np.abs(gains) < UNDETECTABLE_GAIN
     gains[undetectable] = 1.0

@@ -48,7 +48,7 @@ def test_criterion_1_zf_null_space_exactness():
     worst = 0.0
     for trial in range(100):
         channel = draw_channel_set(16, 8, 0.0, SeedSpec(1001, trial))
-        f = zf_precoder(channel.h_known).matrix_f
+        f = zf_precoder(channel.h_known)
         cross = np.abs(channel.h_known.conj().T @ f)
         np.fill_diagonal(cross, 0.0)
         ratios = cross / np.linalg.norm(channel.h_known, axis=0)[:, None]
@@ -72,7 +72,7 @@ def test_criterion_2_interference_decomposition():
             precoder = build(channel.h_known)
             budget = link_budget(channel, precoder, tx_power, noise_var)
             est = empirical_link_budget(
-                channel, precoder, tx_power, noise_var, n_draws, SeedSpec(2003)
+                channel, precoder, tx_power, n_draws, SeedSpec(2003)
             )
             analytic_desired = budget.p_precode + tx_power * err_var
             analytic_interference = budget.i_precode + budget.i_error
@@ -98,7 +98,7 @@ def test_criterion_3_ber_formula():
     precoder = zf_precoder(channel.h_known)
     qam = QamParams(4)
     constellation = QamConstellation.square(4)
-    gains = np.abs(np.diagonal(channel.h_known.conj().T @ precoder.matrix_f)) ** 2
+    gains = np.abs(np.diagonal(channel.h_known.conj().T @ precoder)) ** 2
     # Weakest stream at analytic BER 1e-2 puts every stream inside [1e-3, 1e-1]
     # when the gain spread stays under ~2.4x; checked below.
     tx_power = 2.3263**2 / gains.min()
@@ -137,7 +137,7 @@ def test_criterion_4_distortion_approximation():
     start = time.perf_counter()
     channel = draw_channel_set(16, 8, 0.0, SeedSpec(4004))
     precoder = zf_precoder(channel.h_known)
-    gains = np.abs(np.diagonal(channel.h_known.conj().T @ precoder.matrix_f)) ** 2
+    gains = np.abs(np.diagonal(channel.h_known.conj().T @ precoder)) ** 2
     tx_power = 2.366**2 / gains.min()  # max analytic BER ~9e-3, safely <= 1e-2
     budget = link_budget(channel, precoder, tx_power, 1.0)
     assert ber_from_sinr(budget.sinr, QamParams(4)).max() <= 1e-2

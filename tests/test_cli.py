@@ -76,6 +76,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_undecodable_config_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes("image = caf\xe9.pgm\n".encode("latin-1"))
+    code = main(["snr-sweep", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_missing_image_is_config_error(tmp_path):
     cfg = write_small_config(tmp_path, extra="image = /nonexistent/input.pgm\n")
     code = main(["snr-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
@@ -98,11 +106,16 @@ def test_missing_image_is_config_error(tmp_path):
         "fixed_snr_db = 4000\nsnr_grid_db = 0, 4000\n",
         "err_var_grid_db = -inf, 4000\nrecon_err_var_db = 4000\n",
         "operator = affine:factor=0.5,anchor={tmp}/tiny.pgm\n",
+        "operator = smooth:strength=nan\n",
+        "operator = smooth:strength=inf\n",
+        "operator = affine:factor=0.5,anchor=flat:nan\n",
+        "operator = affine:factor=0.5,anchor=flat:inf\n",
     ],
     ids=[
         "non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template",
         "zero-noise", "zero-error-draws", "nan-fixed-snr", "inf-snr", "nan-err-var",
-        "huge-snr", "huge-err-var", "affine-anchor-shape",
+        "huge-snr", "huge-err-var", "affine-anchor-shape", "nan-strength", "inf-strength",
+        "nan-anchor", "inf-anchor",
     ],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):

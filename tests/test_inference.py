@@ -14,7 +14,6 @@ from semimo.inference import (
     OperatorError,
     SmoothingDenoiser,
     apply_operator,
-    compose,
     estimate_bias,
     estimate_rho,
     identity_bound,
@@ -45,6 +44,17 @@ class TestOperators:
     def test_affine_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             AffineContraction(np.zeros((2, 2)), 1.5)
+
+    def test_non_finite_values_rejected(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            for make in (
+                lambda: SmoothingDenoiser(strength=bad),
+                lambda: AffineContraction(bad, 0.5),
+                lambda: AffineContraction(np.full((4, 4), bad), 0.5),
+                lambda: AffineContraction(np.zeros((2, 2)), bad),
+            ):
+                with pytest.raises(ValueError):
+                    make()
 
     def test_denoiser_reduces_impulse_tv_and_stays_in_range(self):
         rng = np.random.default_rng(11)
@@ -119,7 +129,7 @@ class TestEstimateRho:
             for op in ops
         ]
         composed = estimate_rho(
-            compose(*ops), self.probes(), perturbation_scale=0.5, seed=3
+            lambda image: ops[1](ops[0](image)), self.probes(), perturbation_scale=0.5, seed=3
         )
         assert composed <= individual[0] * individual[1] + 1e-9
 

@@ -136,19 +136,19 @@ class TestEmpiricalBudget:
     def test_mf_desired_power_matches_analytic(self):
         ch, mf, _ = channel_and_precoders(16, 8, 0.1, 21)
         budget = link_budget(ch, mf, 1.0, 1.0)
-        est = empirical_link_budget(ch, mf, 1.0, 1.0, 100_000, SeedSpec(500))
+        est = empirical_link_budget(ch, mf, 1.0, 100_000, SeedSpec(500))
         expected = budget.p_precode + 1.0 * ch.err_var
         np.testing.assert_allclose(est.desired_power, expected, rtol=0.01)
 
     def test_zf_interference_matches_error_term(self):
         ch, _, zf = channel_and_precoders(16, 8, 0.25, 22)
-        est = empirical_link_budget(ch, zf, 1.0, 1.0, 100_000, SeedSpec(501))
+        est = empirical_link_budget(ch, zf, 1.0, 100_000, SeedSpec(501))
         np.testing.assert_allclose(est.interference, 1.0 * 7 * 0.25, rtol=0.01)
 
     def test_degenerate_expectation_is_exact(self):
         ch, mf, _ = channel_and_precoders(16, 8, 0.0, 23)
         budget = link_budget(ch, mf, 1.0, 1.0)
-        est = empirical_link_budget(ch, mf, 1.0, 1.0, 100, SeedSpec(502))
+        est = empirical_link_budget(ch, mf, 1.0, 100, SeedSpec(502))
         np.testing.assert_allclose(est.interference, budget.i_precode, atol=1e-12)
         np.testing.assert_allclose(est.interference_se, 0.0, atol=1e-15)
 
@@ -158,7 +158,7 @@ class TestEmpiricalBudget:
         ch, mf, zf = channel_and_precoders(16, 8, 0.0, 26)
         pre = mf if which == "mf" else zf
         budget = link_budget(ch, pre, 3.0, 1.0)
-        est = empirical_link_budget(ch, pre, 3.0, 1.0, n_trials, SeedSpec(505))
+        est = empirical_link_budget(ch, pre, 3.0, n_trials, SeedSpec(505))
         assert np.all(est.desired_se == 0.0)
         assert np.all(est.interference_se == 0.0)
         # link_budget takes one matrix product, the oracle one row per user.
@@ -173,7 +173,7 @@ class TestEmpiricalBudget:
         ch, mf, zf = channel_and_precoders(16, 8, err_var, 24)
         pre = mf if which == "mf" else zf
         budget = link_budget(ch, pre, 1.0, 1.0)
-        est = empirical_link_budget(ch, pre, 1.0, 1.0, 40_000, SeedSpec(503))
+        est = empirical_link_budget(ch, pre, 1.0, 40_000, SeedSpec(503))
         analytic_desired = budget.p_precode + 1.0 * err_var
         analytic_interference = budget.i_precode + budget.i_error
         assert np.all(
@@ -190,14 +190,14 @@ class TestEmpiricalBudget:
         ch, mf, zf = channel_and_precoders(16, 8, err_var, 25)
         pre = mf if which == "mf" else zf
         p, n_trials, seed = 3.0, 500, SeedSpec(504, 2)
-        est = empirical_link_budget(ch, pre, p, 1.0, n_trials, seed)
+        est = empirical_link_budget(ch, pre, p, n_trials, seed)
         rng = seed.rng()
         for k in range(ch.n_users):
             h_k = ch.h_known[:, k]
             if err_var > 0:
                 h_k = h_k + complex_gaussian(rng, (n_trials, ch.n_tx), err_var)
             # p |(h_k + e_t)^H f_j|^2 for every draw t and stream j
-            powers = p * np.abs(np.atleast_2d(h_k).conj() @ pre.matrix_f) ** 2
+            powers = p * np.abs(np.atleast_2d(h_k).conj() @ pre) ** 2
             powers = np.broadcast_to(powers, (n_trials, ch.n_users))
             des = powers[:, k]
             intf = powers.sum(axis=1) - des

@@ -232,6 +232,7 @@ class TestExternalMetric:
             ("/nonexistent/scorer {test} {ref}", 120.0),  # missing binary
             (f'{sys.executable} -c "import time; time.sleep(5)" {{test}} {{ref}}', 0.3),
         ):
-            hook = ExternalMetric(template, timeout=timeout)
+            hook = ExternalMetric(template)
+            hook.timeout = timeout
             with pytest.raises(ExternalMetricError):
                 hook(np.zeros((8, 8)), np.zeros((8, 8)))

@@ -22,17 +22,17 @@ def random_channel(n_tx, n_users, seed):
 class TestMatchedFilter:
     def test_unit_vector_is_fixed_point(self):
         h = np.array([[1.0], [0.0]], dtype=complex)
-        f = mf_precoder(h).matrix_f
+        f = mf_precoder(h)
         np.testing.assert_allclose(f, h)
 
     def test_complex_column_normalized(self):
         h = np.array([[3.0], [4.0j]], dtype=complex)
-        f = mf_precoder(h).matrix_f
+        f = mf_precoder(h)
         np.testing.assert_allclose(f[:, 0], [0.6, 0.8j], atol=1e-15)
 
     def test_all_columns_unit_norm(self):
         h = random_channel(16, 8, 1)
-        f = mf_precoder(h).matrix_f
+        f = mf_precoder(h)
         np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
 
     def test_zero_column_rejected(self):
@@ -50,7 +50,7 @@ class TestZeroForcing:
         h = np.array(
             [[1.0, 1 / np.sqrt(2)], [0.0, 1 / np.sqrt(2)]], dtype=complex
         )
-        f = zf_precoder(h).matrix_f
+        f = zf_precoder(h)
         np.testing.assert_allclose(
             f[:, 0], np.array([1, -1]) / np.sqrt(2), atol=1e-12
         )
@@ -63,20 +63,18 @@ class TestZeroForcing:
         h[0, 0] = 2.0
         h[2, 1] = 0.5j
         h[4, 2] = 1.0 + 1.0j
-        np.testing.assert_allclose(
-            zf_precoder(h).matrix_f, mf_precoder(h).matrix_f, atol=1e-12
-        )
+        np.testing.assert_allclose(zf_precoder(h), mf_precoder(h), atol=1e-12)
 
     def test_null_space_invariant_random_channel(self):
         h = random_channel(16, 8, 2)
-        f = zf_precoder(h).matrix_f
+        f = zf_precoder(h)
         cross = np.abs(h.conj().T @ f)
         np.fill_diagonal(cross, 0.0)
         ratios = cross / np.linalg.norm(h, axis=0)[:, None]
         assert ratios.max() < 1e-10
 
     def test_unit_norm_columns(self):
-        f = zf_precoder(random_channel(16, 8, 3)).matrix_f
+        f = zf_precoder(random_channel(16, 8, 3))
         np.testing.assert_allclose(np.linalg.norm(f, axis=0), 1.0, atol=1e-12)
 
     def test_duplicate_columns_rejected_with_conditioning(self):
@@ -95,8 +93,8 @@ class TestZeroForcing:
 def test_scale_invariance(seed, scale):
     h = random_channel(8, 4, seed)
     for build in (mf_precoder, zf_precoder):
-        base = build(h).matrix_f
-        scaled = build(scale * h).matrix_f
+        base = build(h)
+        scaled = build(scale * h)
         np.testing.assert_allclose(scaled, base, atol=1e-10)
 
 
@@ -104,7 +102,7 @@ def test_scale_invariance(seed, scale):
 @given(seed=st.integers(0, 10_000))
 def test_zf_desired_power_never_exceeds_mf(seed):
     h = random_channel(12, 6, seed)
-    f_zf = zf_precoder(h).matrix_f
+    f_zf = zf_precoder(h)
     zf_power = np.abs(np.sum(h.conj() * f_zf, axis=0)) ** 2
     mf_power = np.linalg.norm(h, axis=0) ** 2
     assert np.all(zf_power <= mf_power * (1 + 1e-12))
@@ -113,8 +111,8 @@ def test_zf_desired_power_never_exceeds_mf(seed):
 def test_construction_is_deterministic():
     h = random_channel(16, 8, 5)
     for build in (mf_precoder, zf_precoder):
-        a = build(h).matrix_f
-        b = build(h).matrix_f
+        a = build(h)
+        b = build(h)
         assert a.tobytes() == b.tobytes()
 
 

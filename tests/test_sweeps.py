@@ -1,21 +1,28 @@
+import csv
+import io
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from semimo.channel import SeedSpec, draw_channel_set
 from semimo.config import ExperimentConfig
 from semimo.inference import SmoothingDenoiser
-from semimo.metrics import Reference
-from semimo.precoding import Scheme
+from semimo.metrics import ExternalMetricError, Reference
+from semimo.precoding import Scheme, zf_precoder
 from semimo.sweeps import (
     CSV_COLUMNS,
     cell_entropy,
+    load_source,
     run_csi_error_sweep,
     run_snr_sweep,
+    run_trial,
     score_frame,
     write_csv,
 )
+from semimo.transceiver import QamConstellation, transmit_frame
 
 
 def small_config(**kw):
@@ -177,6 +184,49 @@ def test_error_marker_row_flushed(tmp_path):
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert any(",error," in line and "kaboom" in line for line in lines[1:])
+
+
+def test_error_marker_row_quotes_the_message(tmp_path):
+    # A failure message holding a comma and a newline stays one CSV field.
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text(
+        "import sys\nsys.stderr.write('model load failed: shape (3, 4),\\nsecond line')\n"
+        "sys.exit(1)\n"
+    )
+    cfg = small_config(
+        snr_grid_db=(10.0,), external_metric=f"{sys.executable} {scorer} {{test}} {{ref}}"
+    )
+    out = tmp_path / "partial.csv"
+    with pytest.raises(ExternalMetricError) as failure:
+        run_snr_sweep(cfg, out)
+    message = str(failure.value)[:200]
+    assert "model load failed: shape (3, 4),\nsecond line" in message
+    body = out.read_text(encoding="utf-8").split("\n", 2)[2]  # past the two comments
+    rows = list(csv.reader(io.StringIO(body)))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 2
+    assert rows[0] == CSV_COLUMNS
+    assert rows[1][CSV_COLUMNS.index("recon")] == "error"
+    assert rows[1][CSV_COLUMNS.index("external_metric")] == message
+
+
+def test_equalize_with_known_gain_reaches_the_frame():
+    err_var, snr_db, seed = 0.05, 10.0, SeedSpec(11)
+    cfg = small_config()
+    source = load_source(cfg)
+    planes = {
+        known: run_trial(
+            small_config(equalize_with_known_gain=known), Scheme.ZF, snr_db, err_var,
+            source, seed, [seed],
+        ).frames[0].received.planes.tobytes()
+        for known in (False, True)
+    }
+    channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, seed)
+    direct = transmit_frame(
+        source, channel, zf_precoder(channel.h_known), cfg.tx_power(snr_db), cfg.noise_var,
+        QamConstellation.square(cfg.qam_order), seed, equalize_with_known_gain=True,
+    )
+    assert planes[True] == direct.received.planes.tobytes()
+    assert planes[False] != planes[True]
 
 
 def test_metric_set_blanks_deselected_columns(tmp_path):

@@ -10,7 +10,6 @@ from semimo.precoding import mf_precoder, zf_precoder
 from semimo.transceiver import (
     BitPlaneSource,
     QamConstellation,
-    combine_bit_planes,
     qam_demodulate,
     qam_modulate,
     split_bit_planes,
@@ -36,12 +35,12 @@ class TestBitPlanes:
 
     def test_all_ones_planes_combine_to_255(self):
         planes = [np.ones(10, dtype=np.uint8) for _ in range(8)]
-        assert np.all(combine_bit_planes(planes) == 255)
+        assert np.all(BitPlaneSource(10, 1, planes).to_image() == 255)
 
     def test_msb_weight(self):
         planes = [np.zeros(4, dtype=np.uint8) for _ in range(8)]
         planes[7] = np.ones(4, dtype=np.uint8)
-        assert np.all(combine_bit_planes(planes) == 128)
+        assert np.all(BitPlaneSource(4, 1, planes).to_image() == 128)
 
     def test_planes_are_one_read_only_array(self):
         rng = np.random.default_rng(1)
@@ -67,7 +66,7 @@ class TestBitPlanes:
 
     def test_combine_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
-            combine_bit_planes([np.zeros(4, np.uint8), np.zeros(5, np.uint8)])
+            BitPlaneSource(4, 1, [np.zeros(4, np.uint8), np.zeros(5, np.uint8)])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -218,7 +217,7 @@ class TestTransmitFrame:
         channel, source, _ = make_frame_setup(size=128)
         precoder = zf_precoder(channel.h_known)
         # Pick the power so the weakest stream sits at BER 1e-2.
-        gains = np.abs(np.diagonal(channel.h_known.conj().T @ precoder.matrix_f)) ** 2
+        gains = np.abs(np.diagonal(channel.h_known.conj().T @ precoder)) ** 2
         target = 2.3263**2  # Q(2.3263) ~ 1e-2
         power = target / gains.min()
         budget = link_budget(channel, precoder, power, 1.0)
@@ -285,6 +284,21 @@ class TestTransmitFrame:
         assert result.ber[0] == 0.5
         assert np.all(result.received.planes[0] == 0)
         assert result.ber[1] == 0.0
+
+    def test_known_gain_equalization(self):
+        # Under perfect CSI the transmitter-known gain is the true gain; under
+        # a CSI error it is not, and equalizing by it costs bit errors.
+        for err_var in (0.0, 0.05):
+            channel, source, _ = make_frame_setup(err_var=err_var)
+            args = (
+                source, channel, zf_precoder(channel.h_known), 30.0, 1.0,
+                QamConstellation.square(4), SeedSpec(7),
+            )
+            true_gain = transmit_frame(*args)
+            known_gain = transmit_frame(*args, equalize_with_known_gain=True)
+            same = true_gain.received.planes.tobytes() == known_gain.received.planes.tobytes()
+            assert same == (err_var == 0.0)
+        assert known_gain.ber.mean() > true_gain.ber.mean()  # at err_var 0.05
 
     def test_determinism_and_bit_conservation(self):
         channel, source, img = make_frame_setup(err_var=0.05, seed=77)
