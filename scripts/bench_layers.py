@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the oracle, draws, bit planes, QAM mapping, SSIM and denoiser per call, into a BENCH JSON.
+"""Time the oracle, draws, bit planes, QAM, box means, SSIM and denoiser per call, into a BENCH JSON.
 
-    python3 scripts/bench_layers.py --out BENCH_8.json --label change
+    python3 scripts/bench_layers.py --out BENCH_10.json --label change
 
 Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
@@ -12,7 +12,9 @@ so a spell of host contention falls on all of them. Each layer gets the
 median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
 other labels already in the file are kept. SSIM is timed against the
-reference array and against a prebuilt ``metrics.Reference``.
+reference array and against a prebuilt ``metrics.Reference``; ``box_mean``
+as SSIM calls it (size 8, constant) and as the denoiser does (size 3,
+nearest).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _layers():
     from semimo import metrics
     from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
     from semimo.config import ExperimentConfig, from_db
-    from semimo.images import synthetic_test_image
+    from semimo.images import box_mean, synthetic_test_image
     from semimo.inference import SmoothingDenoiser
     from semimo.link import empirical_link_budget
     from semimo.precoding import mf_precoder
@@ -111,20 +113,29 @@ def _layers():
                 {"order": order, "shape": list(received.shape), "noise_var": 0.05},
                 lambda z=received, c=constellation, n=n_bits: qam_demodulate(z, c, n),
             ))
-    for size in (128, 1024):
+    denoiser = SmoothingDenoiser(strength=1.0)
+    for size in (128, 512, 1024):
         clean = synthetic_test_image(size, size)
         noisy = np.clip(clean + rng.normal(0, 10, clean.shape), 0, 255).astype(np.uint8)
-        source = split_bit_planes(clean)
-        layers.append((
-            f"transceiver.split_bit_planes[{size}x{size}]",
-            {"size": size},
-            lambda image=clean: split_bit_planes(image),
-        ))
-        layers.append((
-            f"transceiver.BitPlaneSource.to_image[{size}x{size}]",
-            {"size": size},
-            source.to_image,
-        ))
+        if size != 512:
+            source = split_bit_planes(clean)
+            layers.append((
+                f"transceiver.split_bit_planes[{size}x{size}]",
+                {"size": size},
+                lambda image=clean: split_bit_planes(image),
+            ))
+            layers.append((
+                f"transceiver.BitPlaneSource.to_image[{size}x{size}]",
+                {"size": size},
+                source.to_image,
+            ))
+        # The box mean as SSIM's window means and as the denoiser call it.
+        for width, mode in ((metrics.SSIM_WINDOW, "constant"), (denoiser.size, "nearest")):
+            layers.append((
+                f"images.box_mean[{size}x{size},{mode}{width}]",
+                {"size": size, "width": width, "mode": mode},
+                lambda image=noisy.astype(float), w=width, m=mode: box_mean(image, w, m),
+            ))
         references = {"array": clean, "reference": metrics.Reference(clean)}
         for form, reference in references.items():
             layers.append((
@@ -132,7 +143,6 @@ def _layers():
                 {"size": size, "reference": form},
                 lambda ref=reference, test=noisy: metrics.ssim(ref, test),
             ))
-        denoiser = SmoothingDenoiser(strength=1.0)
         layers.append((
             f"inference.SmoothingDenoiser[{size}x{size}]",
             {"size": size, "strength": denoiser.strength, "kernel": denoiser.size},

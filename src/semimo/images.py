@@ -104,6 +104,12 @@ def image_distance(u, v) -> float:
     return float(np.linalg.norm((a - b).ravel() / 255.0))
 
 
+# Elements per row from which _window_sums adds whole rows in a Python loop
+# rather than running one strided cumsum: the measured break-even lies at
+# 192-256 on 2-D float arrays, and at 128 x 128 the loop's per-row cost loses.
+_ROW_LOOP_MIN = 256
+
+
 def box_mean(a, size: int, mode: str = "constant") -> np.ndarray:
     """Mean over a ``size``-wide box around every element, as a C-ordered float array.
 
@@ -112,8 +118,10 @@ def box_mean(a, size: int, mode: str = "constant") -> np.ndarray:
     (``"constant"``) or its nearest edge value (``"nearest"``). The axes are
     filtered in turn in scipy's ``uniform_filter1d`` order, so the result
     equals ``scipy.ndimage.uniform_filter(a, size, mode=mode)`` on float input
-    byte for byte. An integral image (one cumsum over the padded input, then
-    differences) rounds differently and moves reconstructed pixels.
+    byte for byte: each axis is a running total of window differences, added
+    in the same sequence as scipy's. An integral image (one cumsum over the
+    padded input, then differences) rounds differently and moves
+    reconstructed pixels.
     """
     if mode not in ("constant", "nearest"):
         raise ValueError(f"mode must be 'constant' or 'nearest', got {mode!r}")
@@ -133,8 +141,13 @@ def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int, mode: str) -> np.
 
     The first window is added up in order from 0.0; every later entry starts
     as the difference ``src[i + hi] - src[i - lo - 1]``, read as 0 or the edge
-    value outside ``src``, written straight into the output; one cumsum turns
-    the differences into the running total. No padded copy is built.
+    value outside ``src``, written straight into the output. A running total
+    then adds each entry to the one before it, in place. Off the last axis,
+    cumsum walks one column at a time a whole row apart, so where a row (the
+    elements at one index along ``axis``) holds at least _ROW_LOOP_MIN
+    elements, a loop adds each row to the one before it instead; elsewhere
+    one cumsum does it. Both make the same additions in the same order, so
+    the same bytes. No padded copy is built.
     """
     n = src.shape[axis]
     out = np.empty(src.shape)
@@ -157,5 +170,10 @@ def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int, mode: str) -> np.
         plus = src[along(start + hi, stop + hi)] if start + hi < n else right
         minus = src[along(start - lo - 1, stop - lo - 1)] if start > lo else left
         np.subtract(plus, minus, out=out[along(start, stop)])
-    np.cumsum(out, axis=axis, out=out)
+    rows = np.moveaxis(out, axis, 0)  # a view: rows[i] is index i along axis
+    if axis < out.ndim - 1 and rows[0].size >= _ROW_LOOP_MIN:
+        for prev, row in zip(rows, rows[1:]):
+            np.add(prev, row, out=row)
+    else:
+        np.cumsum(out, axis=axis, out=out)
     return out

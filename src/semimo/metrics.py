@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,10 +199,10 @@ class ExternalMetric(PgmHook):
     """Out-of-process metric hook.
 
     The command template receives ``{test}`` and ``{ref}`` placeholders
-    substituted with PGM file paths; it must exit 0 and print one real number
-    to standard output, and any failure raises ExternalMetricError. This keeps
-    learned metrics out of process while still letting them score sweep
-    outputs.
+    substituted with PGM file paths; it must exit 0 and print one finite real
+    number to standard output, and any failure raises ExternalMetricError.
+    This keeps learned metrics out of process while still letting them score
+    sweep outputs.
     """
 
     placeholders = ("test", "ref")
@@ -211,8 +212,11 @@ class ExternalMetric(PgmHook):
     def __call__(self, test, ref) -> float:
         stdout, _ = self._run({"test": test, "ref": ref})
         try:
-            return float(stdout.strip().split()[-1])
+            score = float(stdout.strip().split()[-1])
         except (IndexError, ValueError) as exc:
             raise ExternalMetricError(
                 f"metric command printed no number: {stdout[:200]!r}"
             ) from exc
+        if not math.isfinite(score):
+            raise ExternalMetricError(f"metric command printed a non-finite score: {score}")
+        return score

@@ -165,9 +165,13 @@ def qam_demodulate(
     if m == 2:
         # One edge per axis, and each level index is its own Gray label and
         # bit. searchsorted's index there is ~(x <= edge): unlike x > edge,
-        # that also sends NaN to 1.
-        bits[..., 0] = ~(z.real <= edges[0])
-        bits[..., 1] = ~(z.imag <= edges[0])
+        # that also sends NaN to 1. Both comparisons write straight into the
+        # bit array, seen as bool, and one in-place not finishes it, so no
+        # temporary is built.
+        flags = bits.view(bool)
+        np.less_equal(z.real, edges[0], out=flags[..., 0])
+        np.less_equal(z.imag, edges[0], out=flags[..., 1])
+        np.logical_not(flags, out=flags)
     else:
         labels = (_gray(np.searchsorted(edges, z.real)) << (m // 2)) | _gray(
             np.searchsorted(edges, z.imag)

@@ -1,3 +1,6 @@
+import csv
+import sys
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,22 @@ def test_bad_input_rejected_before_first_cell(tmp_path, extra):
     for verb in ("snr-sweep", "csi-sweep", "reconstruct"):
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()  # no partial output: nothing ran
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+def test_non_finite_external_metric_ends_the_sweep(tmp_path, score):
+    # A scorer that prints a non-finite number fails its cell like any other
+    # unusable output: exit 3 with the marker row, not a CSV full of nan.
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text(f"print('{score}')\n")
+    extra = f"external_metric = {sys.executable} {scorer} {{test}} {{ref}}\n"
+    cfg = write_small_config(tmp_path, extra=extra)
+    out = tmp_path / "x.csv"
+    assert main(["snr-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = list(csv.DictReader(lines))
+    assert [row["recon"] for row in rows] == ["error"]
+    assert "non-finite" in rows[0]["external_metric"]
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -97,8 +97,10 @@ def box_filter_inputs(shape, rng):
 @pytest.mark.parametrize("size", range(2, 10))
 def test_box_mean_equals_scipy_uniform_filter_byte_for_byte(size, mode):
     # 3x3 at size 3 and 4x9 at size 4 put windows wider than half the image.
+    # Axis 0 runs as one cumsum below 256 columns and as a row loop from 256.
     rng = np.random.default_rng(size)
-    for shape in [(3, 3), (4, 9), (9, 4), (8, 8), (9, 13), (128, 128), (300, 200)]:
+    shapes = [(3, 3), (4, 9), (9, 4), (8, 8), (9, 13), (128, 128), (300, 200)]
+    for shape in shapes + [(300, 255), (300, 256), (260, 300), (600, 8)]:
         for kind, x in box_filter_inputs(shape, rng).items():
             got = box_mean(x, size, mode)
             expected = uniform_filter(x, size=size, mode=mode)
@@ -112,6 +114,7 @@ def test_box_mean_other_layouts_and_ranks(mode):
     cases = [
         rng.standard_normal(17),
         rng.standard_normal((7, 9, 5)),
+        rng.standard_normal((4, 40, 70)),  # axes 0 and 1 both take the row loop
         np.asfortranarray(rng.standard_normal((20, 30))),
         rng.standard_normal((40, 90))[::2, ::3],
         rng.standard_normal((1, 6)),

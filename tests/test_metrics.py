@@ -134,7 +134,7 @@ def ssim_whole_arrays(ref, test, window=8, c1=SSIM_C1, c2=SSIM_C2):
 
 
 class TestReference:
-    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (128, 128), (300, 200)])
+    @pytest.mark.parametrize("shape", [(8, 8), (9, 13), (128, 128), (300, 200), (300, 260)])
     @pytest.mark.parametrize("dtype", [np.uint8, float])
     def test_same_float_as_the_array(self, shape, dtype):
         rng = np.random.default_rng(shape[0] * shape[1])
@@ -231,6 +231,9 @@ class TestExternalMetric:
             (f"{sys.executable} -c exit(3) {{test}} {{ref}}", 120.0),
             ("/nonexistent/scorer {test} {ref}", 120.0),  # missing binary
             (f'{sys.executable} -c "import time; time.sleep(5)" {{test}} {{ref}}', 0.3),
+        ) + tuple(  # a number, but not a usable score
+            (f'{sys.executable} -c "print(\'{score}\')" {{test}} {{ref}}', 120.0)
+            for score in ("nan", "inf", "-inf")
         ):
             hook = ExternalMetric(template)
             hook.timeout = timeout

@@ -151,7 +151,8 @@ class TestConstellation:
         flat.imag = np.random.default_rng(10).normal(size=320)
         flat.real[:49] = np.repeat(special, 7)
         flat.imag[:49] = np.tile(special, 7)
-        for symbols in (flat, flat.reshape(8, 40)):
+        rows = flat.reshape(8, 40)
+        for symbols in (flat, rows, flat.reshape(4, 8, 10), rows[:, ::2]):  # 3-D; strided
             n = symbols.shape[-1]
             for n_bits in (None, 2 * n - 1):
                 fast = qam_demodulate(symbols, const, n_bits)
