@@ -170,8 +170,8 @@ def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int, mode: str) -> np.
         plus = src[along(start + hi, stop + hi)] if start + hi < n else right
         minus = src[along(start - lo - 1, stop - lo - 1)] if start > lo else left
         np.subtract(plus, minus, out=out[along(start, stop)])
-    rows = np.moveaxis(out, axis, 0)  # a view: rows[i] is index i along axis
-    if axis < out.ndim - 1 and rows[0].size >= _ROW_LOOP_MIN:
+    if axis < out.ndim - 1 and out.size >= _ROW_LOOP_MIN * n:
+        rows = np.moveaxis(out, axis, 0)  # a view: rows[i] is index i along axis
         for prev, row in zip(rows, rows[1:]):
             np.add(prev, row, out=row)
     else:
