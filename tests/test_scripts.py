@@ -74,17 +74,21 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "transceiver.split_bit_planes[1024x1024]",
             "transceiver.BitPlaneSource.to_image[128x128]",
             "transceiver.BitPlaneSource.to_image[1024x1024]",
-            *(
-                f"{layer}[{size}x{size}{form}]"
-                for size in (128, 512, 1024)
-                for layer, form in (
-                    ("images.box_mean", ",constant8"),
-                    ("images.box_mean", ",nearest3"),
-                    ("metrics.ssim", ",array"),
-                    ("metrics.ssim", ",reference"),
-                    ("inference.SmoothingDenoiser", ""),
-                )
-            ),
+            "images.box_mean[128x128,constant8]",
+            "images.box_mean[128x128,nearest3]",
+            "metrics.ssim[128x128,array]",
+            "metrics.ssim[128x128,reference]",
+            "inference.SmoothingDenoiser[128x128]",
+            "images.box_mean[512x512,constant8]",
+            "images.box_mean[512x512,nearest3]",
+            "metrics.ssim[512x512,array]",
+            "metrics.ssim[512x512,reference]",
+            "inference.SmoothingDenoiser[512x512]",
+            "images.box_mean[1024x1024,constant8]",
+            "images.box_mean[1024x1024,nearest3]",
+            "metrics.ssim[1024x1024,array]",
+            "metrics.ssim[1024x1024,reference]",
+            "inference.SmoothingDenoiser[1024x1024]",
         }
         for layer in run["layers"].values():
             assert layer["n"] == 3 and layer["median"] > 0 and layer["iqr"] >= 0
