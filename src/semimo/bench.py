@@ -1,4 +1,8 @@
-"""Wall-time scaling of precoder construction and log-log slope fits."""
+"""Wall-time scaling of precoder construction and log-log slope fits.
+
+The probes time the sweeps' builders (``sweeps._BUILDERS``) on the sweeps'
+channel draw (``draw_channel_set`` at perfect CSI).
+"""
 
 from __future__ import annotations
 
@@ -6,14 +10,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from .channel import SeedSpec, draw_channel_set
 from .config import ExperimentConfig
-from .precoding import Scheme, precoder_build_times, probe_channel
+from .sweeps import _BUILDERS
 
 __all__ = ["BenchRow", "BenchResult", "fit_loglog_slope", "run_complexity_bench", "write_bench_csv"]
 
@@ -57,28 +63,35 @@ _ONE_BLAS_THREAD = {
     )
 }
 _ROUNDS = 10
+# Transmit antennas per user, so the user count alone drives the scaling.
+TX_RATIO = 2
 _CHILD = (
     "import json, sys; from semimo.bench import _probe_grid; "
     "json.dump(_probe_grid(**json.load(sys.stdin)), sys.stdout)"
 )
 
 
-def _probe_grid(users, tx_ratio, repetitions, seed) -> dict[str, list[float]]:
+def _probe_grid(users, repetitions, seed) -> dict[str, list[float]]:
     """Median build seconds per scheme, one entry per user count.
 
     The repetitions are split into up to ``_ROUNDS`` rounds that each visit
     every size in turn, so a spell of contention from other processes falls on
-    the whole grid rather than on the few sizes probed while it lasts.
+    the whole grid rather than on the few sizes probed while it lasts. Each
+    visit starts with one untimed build.
     """
     rounds = min(_ROUNDS, repetitions)
     counts = [repetitions // rounds + (r < repetitions % rounds) for r in range(rounds)]
+    channels = [draw_channel_set(TX_RATIO * n, n, 0.0, SeedSpec(seed)).h_known for n in users]
     medians = {}
-    for scheme in (Scheme.MF, Scheme.ZF):
-        channels = [probe_channel(tx_ratio * n, n, seed) for n in users]
+    for scheme, build in _BUILDERS.items():
         samples = [[] for _ in users]
         for count in counts:
             for h, taken in zip(channels, samples):
-                taken.extend(precoder_build_times(scheme, h, count))
+                build(h)
+                for _ in range(count):
+                    start = time.perf_counter()
+                    build(h)
+                    taken.append(time.perf_counter() - start)
         medians[scheme.value] = [float(np.median(taken)) for taken in samples]
     return medians
 
@@ -86,17 +99,15 @@ def _probe_grid(users, tx_ratio, repetitions, seed) -> dict[str, list[float]]:
 def run_complexity_bench(cfg: ExperimentConfig) -> BenchResult:
     """Probe both schemes over the configured user-count grid.
 
-    The antenna count tracks the user count via ``bench_tx_ratio`` so the
-    user dimension drives the scaling. The probes run in a child Python whose
-    BLAS is held to one thread: a thread pool that joins in only above some
-    matrix size speeds up the large end of the grid by up to the core count,
-    which flattens the fitted slope.
+    Each size has ``TX_RATIO`` times as many antennas as users. The probes
+    run in a child Python whose BLAS is held to one thread: a thread pool
+    that joins in only above some matrix size speeds up the large end of the
+    grid by up to the core count, which flattens the fitted slope.
     """
     request = {
         "users": list(cfg.bench_users),
-        "tx_ratio": cfg.bench_tx_ratio,
         "repetitions": cfg.bench_repetitions,
-        "seed": cfg.master_seed & 0xFFFFFFFF,
+        "seed": cfg.master_seed,
     }
     package_root = str(Path(__file__).resolve().parent.parent)
     search_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
@@ -115,8 +126,9 @@ def run_complexity_bench(cfg: ExperimentConfig) -> BenchResult:
     slopes: dict[str, float] = {}
     for scheme, medians in json.loads(proc.stdout).items():
         for n_users, median in zip(cfg.bench_users, medians):
-            n_tx = cfg.bench_tx_ratio * n_users
-            rows.append(BenchRow(scheme, n_users, n_tx, cfg.bench_repetitions, median))
+            rows.append(
+                BenchRow(scheme, n_users, TX_RATIO * n_users, cfg.bench_repetitions, median)
+            )
         slopes[scheme] = fit_loglog_slope(cfg.bench_users, medians)
     return BenchResult(tuple(rows), slopes)
 

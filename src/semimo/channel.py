@@ -41,8 +41,8 @@ def _check_sizes(n_tx: int, n_users: int, err_var: float) -> None:
         raise ValueError(
             f"n_tx={n_tx} < n_users={n_users}: the ZF Gram matrix would be singular"
         )
-    if err_var < 0:
-        raise ValueError(f"err_var must be >= 0, got {err_var}")
+    if not 0 <= err_var < np.inf:  # NaN fails every comparison
+        raise ValueError(f"err_var must be finite and >= 0, got {err_var}")
 
 
 @dataclass(frozen=True)
@@ -52,24 +52,30 @@ class ChannelSet:
     Columns are per-user channels: ``h_true[:, k]`` is what user k actually
     sees, ``h_known[:, k]`` is what the transmitter designs against, and
     ``h_true = h_known + error`` with per-entry (complex circular) error
-    variance ``err_var``. Arrays are read-only, so a ChannelSet can be shared
+    variance ``err_var``. The sizes are read off ``h_known``'s shape
+    ``(n_tx, n_users)``. Arrays are read-only, so a ChannelSet can be shared
     freely between workers.
     """
 
-    n_tx: int
-    n_users: int
     h_true: np.ndarray
     h_known: np.ndarray
     err_var: float
 
     def __post_init__(self) -> None:
-        _check_sizes(self.n_tx, self.n_users, self.err_var)
-        shape = (self.n_tx, self.n_users)
-        if self.h_true.shape != shape or self.h_known.shape != shape:
+        if self.h_known.ndim != 2 or self.h_true.shape != self.h_known.shape:
             raise ValueError(
-                f"channel matrices must both be {shape}, got "
+                f"channel matrices must both be (n_tx, n_users), got "
                 f"{self.h_true.shape} and {self.h_known.shape}"
             )
+        _check_sizes(self.n_tx, self.n_users, self.err_var)
+
+    @property
+    def n_tx(self) -> int:
+        return self.h_known.shape[0]
+
+    @property
+    def n_users(self) -> int:
+        return self.h_known.shape[1]
 
 
 def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
@@ -118,4 +124,4 @@ def draw_channel_set(
         h_true = h_known.copy(order="F")
     h_known.flags.writeable = False
     h_true.flags.writeable = False
-    return ChannelSet(n_tx, n_users, h_true, h_known, float(err_var))
+    return ChannelSet(h_true, h_known, float(err_var))

@@ -78,8 +78,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    configured = Path(cfg.output_path) if cfg.output_path else None
-    out = args.out or configured or Path(f"{args.command.replace('-', '_')}.csv")
+    out = args.out or Path(f"{args.command.replace('-', '_')}.csv")
     try:
         if args.command == "snr-sweep":
             run_snr_sweep(cfg, out)
@@ -94,7 +93,7 @@ def main(argv=None) -> int:
                 print(f"{scheme}: log-log slope {slope:.3f}")
             print(f"wrote {out}")
         elif args.command == "reconstruct":
-            out = args.out or configured or Path("reconstructed.pgm")
+            out = args.out or Path("reconstructed.pgm")
             _reconstruct(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

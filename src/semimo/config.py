@@ -68,11 +68,9 @@ class ExperimentConfig:
     workers: int = 1
     equalize_with_known_gain: bool = False
     bench_users: tuple[int, ...] = (32, 48, 64, 96, 128, 192, 256, 384, 512)
-    bench_tx_ratio: int = 2
     bench_repetitions: int = 100
     metric_set: tuple[str, ...] = ("mae", "neg_psnr", "one_minus_ssim")
     external_metric: str = ""
-    output_path: str = ""
     recon_scheme: str = "zf"
     recon_err_var_db: float = float("-inf")
 
@@ -96,13 +94,12 @@ class ExperimentConfig:
             raise ConfigError("error variances must be finite in linear units, or -inf dB")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if (
-            self.bench_repetitions < 1
-            or self.bench_tx_ratio < 1
-            or not self.bench_users
-            or min(self.bench_users) < 1
-        ):
+        if self.bench_repetitions < 1 or not self.bench_users or min(self.bench_users) < 1:
             raise ConfigError("bench sizes and repetitions must be >= 1")
+        if len(set(self.bench_users)) < 2:
+            raise ConfigError(
+                f"bench_users needs two distinct sizes to fit a slope, got {self.bench_users}"
+            )
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
         try:

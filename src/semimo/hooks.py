@@ -17,11 +17,11 @@ class PgmHook:
     """Shared core of the external operator and metric hooks.
 
     A subclass sets its ``placeholders``, its ``error`` type and its
-    ``timeout`` in seconds. Each ``{name}`` placeholder becomes the path of
-    ``name.pgm`` in a fresh temporary directory; other braces, such as an awk
-    program's, reach the command unchanged. A command that cannot be split or
-    started, times out, exits nonzero or leaves an unreadable output image
-    raises ``error``.
+    ``timeout`` in seconds. Each ``{name}`` placeholder becomes the
+    shell-quoted path of ``name.pgm`` in a fresh temporary directory; other
+    braces, such as an awk program's, reach the command unchanged. A command
+    that cannot be split or started, times out, exits nonzero or leaves an
+    unreadable output image raises ``error``.
     """
 
     placeholders: tuple[str, ...]
@@ -40,7 +40,9 @@ class PgmHook:
             paths = {name: str(Path(tmp) / f"{name}.pgm") for name in self.placeholders}
             for name, image in images.items():
                 write_pgm(paths[name], image)
-            cmd = re.sub(r"\{(\w+)\}", lambda m: paths.get(m[1], m[0]), self.command_template)
+            # Quoted, so a path holding a space stays one argument.
+            quoted = {name: shlex.quote(path) for name, path in paths.items()}
+            cmd = re.sub(r"\{(\w+)\}", lambda m: quoted.get(m[1], m[0]), self.command_template)
             try:
                 proc = subprocess.run(
                     shlex.split(cmd), capture_output=True, text=True, timeout=self.timeout

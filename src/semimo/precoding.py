@@ -1,13 +1,14 @@
-"""MF and ZF downlink precoder construction and the build timings of ``semimo bench``."""
+"""MF and ZF downlink precoder construction.
+
+The sweeps pick a builder by ``Scheme`` from ``sweeps._BUILDERS``, and
+``semimo bench`` times the builders of that same table.
+"""
 
 from __future__ import annotations
 
-import time
 from enum import Enum
 
 import numpy as np
-
-from .channel import complex_gaussian
 
 __all__ = [
     "Scheme",
@@ -15,8 +16,6 @@ __all__ = [
     "GramConditionError",
     "mf_precoder",
     "zf_precoder",
-    "precoder_build_times",
-    "probe_channel",
     "DEFAULT_COND_LIMIT",
 ]
 
@@ -92,29 +91,4 @@ def zf_precoder(h_known) -> np.ndarray:
     f = np.asfortranarray(raw / np.linalg.norm(raw, axis=0))
     f.flags.writeable = False
     return f
-
-
-def probe_channel(n_tx: int, n_users: int, seed: int = 0) -> np.ndarray:
-    """The unit-power Rayleigh channel that ``semimo bench`` builds precoders for."""
-    if n_tx < 1 or n_users < 1:
-        raise ValueError("sizes must be >= 1")
-    rng = np.random.default_rng(seed)
-    return np.asfortranarray(complex_gaussian(rng, (n_tx, n_users), 1.0 / n_tx))
-
-
-def precoder_build_times(scheme: Scheme | str, h: np.ndarray, count: int) -> np.ndarray:
-    """Wall-clock seconds of ``count`` precoder builds on ``h``.
-
-    Times construction only; an untimed warm-up build runs first.
-    """
-    if count < 1:
-        raise ValueError("repetitions must be >= 1")
-    build = mf_precoder if Scheme(scheme) is Scheme.MF else zf_precoder
-    build(h)
-    samples = np.empty(count)
-    for i in range(count):
-        start = time.perf_counter()
-        build(h)
-        samples[i] = time.perf_counter() - start
-    return samples
 

@@ -248,9 +248,9 @@ def _simulate_cell(
 def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dict]:
     """Run every (snr, err_var, scheme) cell of a sweep, optionally to CSV.
 
-    Cells may execute in parallel; rows always come back in grid order. On a
-    cell failure the completed rows are flushed with an error marker row
-    appended before the exception propagates.
+    Cells run on a pool of ``cfg.workers`` threads, one included; rows always
+    come back in grid order. On a cell failure the rows before it are flushed
+    with an error marker row appended before the exception propagates.
     """
     source = load_source(cfg)
     # Read-only, so the cells share it under any worker count.
@@ -272,13 +272,11 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
 
     rows: list[dict] = []
     try:
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                for cell_rows in pool.map(run, cells):
-                    rows.extend(cell_rows)
-        else:
-            for cell in cells:
-                rows.extend(run(cell))
+        # map yields in grid order and cancels the cells not yet started
+        # when one raises.
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            for cell_rows in pool.map(run, cells):
+                rows.extend(cell_rows)
     except Exception as exc:
         if out_path is not None:
             marker = {name: "" for name in CSV_COLUMNS}

@@ -32,3 +32,24 @@ def test_tiny_bench_runs_and_writes(tmp_path):
     assert "scheme,n_users,n_tx,repetitions,median_time_s" in lines
     data = [line for line in lines if not line.startswith(("#", "scheme"))]
     assert len(data) == 4  # 2 schemes x 2 sizes
+
+
+def test_probes_use_the_sweep_builders_and_channel_draw(monkeypatch):
+    from semimo import bench, sweeps
+    from semimo.channel import SeedSpec, draw_channel_set
+
+    built = []
+    for scheme in list(sweeps._BUILDERS):
+        monkeypatch.setitem(
+            sweeps._BUILDERS, scheme, lambda h, name=scheme.value: built.append((name, h))
+        )
+    medians = bench._probe_grid([4, 8], 3, 5)
+    assert {name: len(times) for name, times in medians.items()} == {"mf": 2, "zf": 2}
+    # Three rounds visit each size; a visit makes one untimed and one timed build.
+    assert [(name, h.shape) for name, h in built] == [
+        (name, (2 * n, n)) for name in ("mf", "zf") for _ in range(3) for n in (4, 8)
+        for _ in range(2)
+    ]
+    for _, h in built:
+        n = h.shape[1]
+        assert np.array_equal(h, draw_channel_set(2 * n, n, 0.0, SeedSpec(5)).h_known)

@@ -66,6 +66,10 @@ def test_rejects_bad_arguments():
         draw_channel_set(8, 0, 0.0, SeedSpec(0))
     with pytest.raises(ValueError):
         draw_channel_set(8, 4, -0.1, SeedSpec(0))
+    # A NaN variance once drew perfect-CSI frames and gave NaN SINRs.
+    for err_var in (float("nan"), float("inf"), np.float64("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            draw_channel_set(16, 8, err_var, SeedSpec(0))
 
 
 def test_same_seed_reproduces_bit_identical_channels():
@@ -112,11 +116,12 @@ def test_component_independence():
 def test_channel_set_validates_shapes():
     good = np.zeros((4, 2), dtype=complex)
     with pytest.raises(ValueError):
-        ChannelSet(4, 2, good, np.zeros((4, 3), dtype=complex), 0.0)
+        ChannelSet(good, np.zeros((4, 3), dtype=complex), 0.0)
     with pytest.raises(ValueError):
-        ChannelSet(2, 4, np.zeros((2, 4), complex), np.zeros((2, 4), complex), 0.0)
-    with pytest.raises(ValueError):
-        ChannelSet(4, 2, good, good, -1.0)
+        ChannelSet(np.zeros((2, 4), complex), np.zeros((2, 4), complex), 0.0)
+    for err_var in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            ChannelSet(good, good, err_var)
 
 
 def test_channels_are_immutable():

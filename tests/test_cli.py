@@ -1,5 +1,6 @@
 import csv
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -144,6 +145,30 @@ def test_non_finite_external_metric_ends_the_sweep(tmp_path, score):
     rows = list(csv.DictReader(lines))
     assert [row["recon"] for row in rows] == ["error"]
     assert "non-finite" in rows[0]["external_metric"]
+
+
+def test_hooks_run_from_a_temp_dir_with_a_space(tmp_path, monkeypatch):
+    # Each placeholder path reaches the command as one argument.
+    spaced = tmp_path / "tmp dir"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))  # tempfile caches TMPDIR
+    scorer = tmp_path / "scorer.py"
+    scorer.write_text(
+        "import os, sys\n"
+        "assert len(sys.argv) == 3 and all(map(os.path.isfile, sys.argv[1:])), sys.argv\n"
+        "print(0.5)\n"
+    )
+    extra = (
+        "snr_grid_db = 10\n"
+        "operator = external:/bin/cp {in} {out}\n"
+        f"external_metric = {sys.executable} {scorer} {{test}} {{ref}}\n"
+    )
+    cfg = write_small_config(tmp_path, extra=extra)
+    out = tmp_path / "x.csv"
+    assert main(["snr-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    rows = list(csv.DictReader(lines))
+    assert len(rows) == 4 and all(row["external_metric"] == "0.5" for row in rows)
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

@@ -85,6 +85,25 @@ def test_invalid_combination_rejected():
         ExperimentConfig(snr_grid_db=())
     with pytest.raises(ConfigError):
         ExperimentConfig(n_channel_trials=0)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(bench_users=(0, 8))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(bench_repetitions=0)
+
+
+@pytest.mark.parametrize("sizes", ["8", "8, 8"], ids=["one-size", "repeated-size"])
+def test_bench_users_need_two_distinct_sizes(tmp_path, sizes):
+    # One size once ran every probe before failing the fit; a repeated size
+    # fitted a meaningless slope and exited 0.
+    from semimo.cli import EXIT_CONFIG, main
+
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"bench_users = {sizes}\nbench_repetitions = 1\n")
+    with pytest.raises(ConfigError, match="two distinct sizes"):
+        load_config(path)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
+from semimo.channel import ChannelSet, SeedSpec, complex_gaussian, draw_channel_set
 from semimo.link import (
     QamParams,
     ber_from_sinr,
@@ -100,10 +100,7 @@ class TestLinkBudget:
         h = np.zeros((4, 2), dtype=complex)
         h[0, 0] = np.sqrt(2.0)
         h[2, 1] = np.sqrt(2.0) * 1j
-        ch_like = draw_channel_set(4, 2, 0.0, SeedSpec(0))
-        budget = link_budget(
-            type(ch_like)(4, 2, h, h, 0.0), mf_precoder(h), 1.0, 1.0
-        )
+        budget = link_budget(ChannelSet(h, h, 0.0), mf_precoder(h), 1.0, 1.0)
         np.testing.assert_allclose(budget.sinr, [2.0, 2.0], rtol=1e-12)
 
     def test_error_interference_constant_across_users(self):

@@ -7,10 +7,7 @@ from semimo.channel import SeedSpec, draw_channel_set
 from semimo.precoding import (
     DegenerateChannelError,
     GramConditionError,
-    Scheme,
     mf_precoder,
-    precoder_build_times,
-    probe_channel,
     zf_precoder,
 )
 
@@ -115,10 +112,3 @@ def test_construction_is_deterministic():
         b = build(h)
         assert a.tobytes() == b.tobytes()
 
-
-def test_cost_probe_smoke():
-    # Positive timings are covered by the bench's own tests.
-    with pytest.raises(ValueError):
-        probe_channel(0, 1)
-    with pytest.raises(ValueError):
-        precoder_build_times(Scheme.MF, probe_channel(4, 2), 0)

@@ -94,3 +94,41 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             assert layer["n"] == 3 and layer["median"] > 0 and layer["iqr"] >= 0
             # samples are sized to last about a millisecond or more
             assert layer["median"] * layer["calls_per_sample"] >= 0.5
+
+
+def test_count_settables_on_a_known_module(tmp_path, capsys):
+    counter = load_script("count_settables")
+    (tmp_path / "a.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class ExperimentConfig:\n"
+        "    seed: int = 1\n"
+        "\n"
+        "class Plain:\n"
+        "    z: int\n"
+        "    def method(self, p, q=1, *args, r, s=2, **kw):\n"
+        "        return lambda k: k\n"
+        "    @classmethod\n"
+        "    def make(cls, t):\n"
+        "        pass\n"
+    )
+    (tmp_path / "b.py").write_text("def f(u, /, v, *, w=3):\n    pass\n")
+    (tmp_path / "notes.txt").write_text("def g(x):\n")
+    expected = {
+        "lines": 21,
+        "parameters": 8,  # p q r s, t, u v w
+        "defaults": 3,  # q s w
+        "dataclass_fields": 3,  # x y, seed
+        "config_keys": 1,
+    }
+    assert counter.count(tmp_path) == expected
+    assert counter.main([str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"{name} {value}" for name, value in expected.items()]

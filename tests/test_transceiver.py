@@ -242,7 +242,7 @@ class TestTransmitFrame:
         # noiselessly the error rate stays above Q(beta).
         h = np.zeros((4, 2), dtype=complex)
         h[0, :] = 1.0
-        channel = ChannelSet(4, 2, h, h, 0.0)
+        channel = ChannelSet(h, h, 0.0)
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, size=(64, 64), dtype=np.uint8)
         source = split_bit_planes(img)
@@ -274,7 +274,7 @@ class TestTransmitFrame:
         h_known = np.eye(2, dtype=complex)
         h_true = h_known.copy()
         h_true[:, 0] = [0.0, 1e-15]
-        channel = ChannelSet(2, 2, h_true, h_known, 0.0)
+        channel = ChannelSet(h_true, h_known, 0.0)
         img = np.full((8, 8), 255, dtype=np.uint8)
         src = split_bit_planes(img)
         source = BitPlaneSource(8, 8, (src.planes[0], src.planes[1]))
