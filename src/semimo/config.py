@@ -94,12 +94,12 @@ class ExperimentConfig:
             raise ConfigError("error variances must be finite in linear units, or -inf dB")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.bench_repetitions < 1 or not self.bench_users or min(self.bench_users) < 1:
-            raise ConfigError("bench sizes and repetitions must be >= 1")
         if len(set(self.bench_users)) < 2:
             raise ConfigError(
                 f"bench_users needs two distinct sizes to fit a slope, got {self.bench_users}"
             )
+        if self.bench_repetitions < 1 or min(self.bench_users) < 1:
+            raise ConfigError("bench sizes and repetitions must be >= 1")
         if self.master_seed < 0 or self.master_seed >= 2**64:
             raise ConfigError("master_seed must fit in 64 unsigned bits")
         try:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from semimo.bench import fit_loglog_slope, run_complexity_bench, write_bench_csv
+from semimo import sweeps
+from semimo.bench import _probe_grid, fit_loglog_slope, run_complexity_bench, write_bench_csv
+from semimo.channel import SeedSpec, draw_channel_set
 from semimo.config import ExperimentConfig
 
 
@@ -35,15 +37,12 @@ def test_tiny_bench_runs_and_writes(tmp_path):
 
 
 def test_probes_use_the_sweep_builders_and_channel_draw(monkeypatch):
-    from semimo import bench, sweeps
-    from semimo.channel import SeedSpec, draw_channel_set
-
     built = []
     for scheme in list(sweeps._BUILDERS):
         monkeypatch.setitem(
             sweeps._BUILDERS, scheme, lambda h, name=scheme.value: built.append((name, h))
         )
-    medians = bench._probe_grid([4, 8], 3, 5)
+    medians = _probe_grid([4, 8], 3, 5)
     assert {name: len(times) for name, times in medians.items()} == {"mf": 2, "zf": 2}
     # Three rounds visit each size; a visit makes one untimed and one timed build.
     assert [(name, h.shape) for name, h in built] == [

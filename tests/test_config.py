@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semimo.cli import EXIT_CONFIG, main
 from semimo.config import ConfigError, ExperimentConfig, build_operator, load_config
 from semimo.inference import IdentityOperator, SmoothingDenoiser
 
@@ -95,8 +96,6 @@ def test_invalid_combination_rejected():
 def test_bench_users_need_two_distinct_sizes(tmp_path, sizes):
     # One size once ran every probe before failing the fit; a repeated size
     # fitted a meaningless slope and exited 0.
-    from semimo.cli import EXIT_CONFIG, main
-
     path = tmp_path / "exp.cfg"
     path.write_text(f"bench_users = {sizes}\nbench_repetitions = 1\n")
     with pytest.raises(ConfigError, match="two distinct sizes"):
