@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Time the oracle, draws, bit planes, QAM, box means, SSIM and denoiser per call, into a BENCH JSON.
+"""Time the oracle, draws, bit planes, QAM, SSIM and filters per call, into a BENCH JSON.
 
-    python3 scripts/bench_layers.py --out BENCH_10.json --label change
+    python3 scripts/bench_layers.py --out BENCH_12.json --label change
+    python3 scripts/bench_layers.py --out BENCH_12.json --label change --against ../parent
 
 Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
@@ -12,17 +13,27 @@ so a spell of host contention falls on all of them. Each layer gets the
 median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
 other labels already in the file are kept. SSIM is timed against the
-reference array and against a prebuilt ``metrics.Reference``; ``box_mean``
-as SSIM calls it (size 8, constant) and as the denoiser does (size 3,
-nearest).
+reference array and against a prebuilt ``metrics.Reference``; SSIM's window
+means (``metrics._window_means``) on their own; ``box_mean`` as the denoiser
+calls it (size 3, nearest).
+
+``--against <checkout>`` loads that checkout's ``src/semimo`` as a second
+package, ``semimo_against``, builds the same layers from it and times the two
+side by side: in each round every layer takes one sample from each, in an
+order that alternates from round to round, so host drift falls on both
+alike. Each layer then also records the other checkout's median and IQR, and
+the median and IQR of the per-round ratio (this checkout / the other).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
+import inspect
 import json
 import os
+import subprocess
 import sys
 import time
 from datetime import datetime, timezone
@@ -42,15 +53,20 @@ def _perfbench_run():
 
 
 def _loops_for(call) -> int:
-    """Smallest of 1, 2, 5, 10, 20, ... calls that take at least MIN_SAMPLE_S."""
+    """Smallest of 1, 2, 5, 10, 20, ... calls that take at least MIN_SAMPLE_S.
+
+    One untimed call goes first, and each count is timed twice and judged by
+    its faster run: a cold first call, or one pause of the host or the
+    garbage collector, could otherwise size a sub-millisecond layer at one
+    call per sample.
+    """
+    call()
     loops = 1
     while True:
         for factor in (1, 2, 5):
-            start = time.perf_counter()
-            for _ in range(loops * factor):
-                call()
-            if time.perf_counter() - start >= MIN_SAMPLE_S:
-                return loops * factor
+            count = loops * factor
+            if min(_sample(call, count) for _ in range(2)) * count >= MIN_SAMPLE_S:
+                return count
         loops *= 10
 
 
@@ -61,31 +77,54 @@ def _sample(call, loops: int) -> float:
     return (time.perf_counter() - start) / loops
 
 
-def _layers():
-    """(name, arguments, zero-argument call) per timed layer."""
-    sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-    from semimo import metrics
-    from semimo.channel import SeedSpec, complex_gaussian, draw_channel_set
-    from semimo.config import ExperimentConfig, from_db
-    from semimo.images import box_mean, synthetic_test_image
-    from semimo.inference import SmoothingDenoiser
-    from semimo.link import empirical_link_budget
-    from semimo.precoding import mf_precoder
-    from semimo.transceiver import (
-        QamConstellation, qam_demodulate, qam_modulate, split_bit_planes,
-    )
+def _load_against(checkout: Path) -> str:
+    """Import ``checkout``'s ``src/semimo`` as the package ``semimo_against``."""
+    name = "semimo_against"
+    source = checkout / "src" / "semimo"
+    spec = importlib.util.spec_from_file_location(
+        name, source / "__init__.py", submodule_search_locations=[str(source)])
+    if spec is None:
+        raise SystemExit(f"no library source at {source}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its relative imports resolve through here
+    spec.loader.exec_module(module)
+    return name
 
-    cfg = ExperimentConfig()
-    err_var = from_db(-10.0)
-    channel = draw_channel_set(cfg.n_tx, cfg.n_users, err_var, SeedSpec(cfg.master_seed))
-    f = mf_precoder(channel.h_known)
+
+def _git_sha(checkout: Path):
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def _layers(package: str = "semimo"):
+    """(name, arguments, zero-argument call) per timed layer of ``package``."""
+    import numpy as np
+
+    modules = ("channel", "config", "images", "inference", "link", "metrics",
+               "precoding", "transceiver")
+    lib = {name: importlib.import_module(f"{package}.{name}") for name in modules}
+    SeedSpec, complex_gaussian = lib["channel"].SeedSpec, lib["channel"].complex_gaussian
+    box_mean, metrics = lib["images"].box_mean, lib["metrics"]
+    QamConstellation, transceiver = lib["transceiver"].QamConstellation, lib["transceiver"]
+    qam_modulate, qam_demodulate = transceiver.qam_modulate, transceiver.qam_demodulate
+    # Checkouts whose box_mean still takes a mode default it to "constant".
+    nearest = {"mode": "nearest"} if "mode" in inspect.signature(box_mean).parameters else {}
+
+    cfg = lib["config"].ExperimentConfig()
+    err_var = lib["config"].from_db(-10.0)
+    channel = lib["channel"].draw_channel_set(
+        cfg.n_tx, cfg.n_users, err_var, SeedSpec(cfg.master_seed))
+    f = lib["precoding"].mf_precoder(channel.h_known)
     tx_power = cfg.tx_power(cfg.fixed_snr_db)
     layers = [(
         "link.empirical_link_budget",
         {"scheme": "mf", "n_tx": cfg.n_tx, "n_users": cfg.n_users, "err_var": err_var,
          "n_trials": cfg.n_error_draws, "snr_db": cfg.fixed_snr_db},
-        lambda: empirical_link_budget(channel, f, tx_power, cfg.n_error_draws, SeedSpec(1)),
+        lambda: lib["link"].empirical_link_budget(
+            channel, f, tx_power, cfg.n_error_draws, SeedSpec(1)),
     )]
     rng = SeedSpec(2).rng()
     for shape in ((10000, 16), (8, 65536)):
@@ -113,29 +152,32 @@ def _layers():
                 {"order": order, "shape": list(received.shape), "noise_var": 0.05},
                 lambda z=received, c=constellation, n=n_bits: qam_demodulate(z, c, n),
             ))
-    denoiser = SmoothingDenoiser(strength=1.0)
+    denoiser = lib["inference"].SmoothingDenoiser(strength=1.0)
     for size in (128, 512, 1024):
-        clean = synthetic_test_image(size, size)
+        clean = lib["images"].synthetic_test_image(size, size)
         noisy = np.clip(clean + rng.normal(0, 10, clean.shape), 0, 255).astype(np.uint8)
         if size != 512:
-            source = split_bit_planes(clean)
+            source = transceiver.split_bit_planes(clean)
             layers.append((
                 f"transceiver.split_bit_planes[{size}x{size}]",
                 {"size": size},
-                lambda image=clean: split_bit_planes(image),
+                lambda image=clean: transceiver.split_bit_planes(image),
             ))
             layers.append((
                 f"transceiver.BitPlaneSource.to_image[{size}x{size}]",
                 {"size": size},
                 source.to_image,
             ))
-        # The box mean as SSIM's window means and as the denoiser call it.
-        for width, mode in ((metrics.SSIM_WINDOW, "constant"), (denoiser.size, "nearest")):
-            layers.append((
-                f"images.box_mean[{size}x{size},{mode}{width}]",
-                {"size": size, "width": width, "mode": mode},
-                lambda image=noisy.astype(float), w=width, m=mode: box_mean(image, w, m),
-            ))
+        layers.append((
+            f"metrics._window_means[{size}x{size}]",
+            {"size": size, "window": metrics.SSIM_WINDOW},
+            lambda image=noisy.astype(float): metrics._window_means(image),
+        ))
+        layers.append((
+            f"images.box_mean[{size}x{size},nearest{denoiser.size}]",
+            {"size": size, "width": denoiser.size, "mode": "nearest"},
+            lambda image=noisy.astype(float), w=denoiser.size: box_mean(image, w, **nearest),
+        ))
         references = {"array": clean, "reference": metrics.Reference(clean)}
         for form, reference in references.items():
             layers.append((
@@ -151,40 +193,65 @@ def _layers():
     return layers
 
 
-def run() -> dict:
+def _spread(values, scale=1.0) -> tuple[float, float]:
+    """Median and interquartile range of ``values`` times ``scale``."""
+    import numpy as np
+
+    q1, median, q3 = scale * np.percentile(values, [25, 50, 75])
+    return median, q3 - q1
+
+
+def run(against: Path | None = None) -> dict:
     perfbench = _perfbench_run()
     for var in perfbench.BLAS_THREAD_VARS:
         os.environ[var] = perfbench.BLAS_THREADS
+    sys.path.insert(0, str(ROOT / "src"))
     layers = _layers()  # imports numpy, after the BLAS pin
-    import numpy as np
+    others = _layers(_load_against(against)) if against is not None else [None] * len(layers)
 
     loops = [_loops_for(call) for *_, call in layers]
-    times = [[] for _ in layers]
-    for _ in range(SAMPLES):
-        for (*_, call), count, taken in zip(layers, loops, times):
-            taken.append(_sample(call, count))
+    times = [([], []) for _ in layers]
+    for round_ in range(SAMPLES):
+        for (*_, call), other, count, (taken, taken_other) in zip(layers, others, loops, times):
+            if other is None:
+                taken.append(_sample(call, count))
+                continue
+            # Alternate which checkout goes first, round by round.
+            pair = [(call, taken), (other[2], taken_other)]
+            for side, record in pair[:: 1 if round_ % 2 == 0 else -1]:
+                record.append(_sample(side, count))
     results = {}
-    for (name, arguments, _), count, taken in zip(layers, loops, times):
-        q1, median, q3 = 1e3 * np.percentile(taken, [25, 50, 75])
+    for (name, arguments, _), count, (taken, taken_other) in zip(layers, loops, times):
+        median, iqr = _spread(taken, 1e3)
         results[name] = {
-            "unit": "ms", "median": median, "iqr": q3 - q1, "n": len(taken),
+            "unit": "ms", "median": median, "iqr": iqr, "n": len(taken),
             "calls_per_sample": count, "args": arguments,
         }
+        if taken_other:
+            other_median, other_iqr = _spread(taken_other, 1e3)
+            ratio, ratio_iqr = _spread([a / b for a, b in zip(taken, taken_other)])
+            results[name]["against"] = {"median": other_median, "iqr": other_iqr}
+            results[name]["ratio"] = {"median": ratio, "iqr": ratio_iqr}
     host = perfbench.host_block()
-    return {
+    record = {
         "git_sha": host.pop("git_sha"),
         "measured_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "host": host,
         "layers": results,
     }
+    if against is not None:
+        record["against_git_sha"] = _git_sha(against)
+    return record
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="JSON file to create or update")
     parser.add_argument("--label", required=True, help="key of this run under 'runs'")
+    parser.add_argument("--against", type=Path, metavar="CHECKOUT",
+                        help="another checkout to time side by side, call by call")
     args = parser.parse_args(argv)
-    record = run()
+    record = run(args.against)
     document = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     document["runs"][args.label] = record
     args.out.write_text(json.dumps(document, indent=2) + "\n")

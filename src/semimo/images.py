@@ -110,37 +110,34 @@ def image_distance(u, v) -> float:
 _ROW_LOOP_MIN = 256
 
 
-def box_mean(a, size: int, mode: str = "constant") -> np.ndarray:
+def box_mean(a, size: int) -> np.ndarray:
     """Mean over a ``size``-wide box around every element, as a C-ordered float array.
 
     The box spans ``size // 2`` elements before each one and ``(size - 1) //
-    2`` after, on every axis. Outside the array the input reads 0
-    (``"constant"``) or its nearest edge value (``"nearest"``). The axes are
-    filtered in turn in scipy's ``uniform_filter1d`` order, so the result
-    equals ``scipy.ndimage.uniform_filter(a, size, mode=mode)`` on float input
-    byte for byte: each axis is a running total of window differences, added
-    in the same sequence as scipy's. An integral image (one cumsum over the
-    padded input, then differences) rounds differently and moves
-    reconstructed pixels.
+    2`` after, on every axis; outside the array the input reads its nearest
+    edge value. The axes are filtered in turn in scipy's ``uniform_filter1d``
+    order, so the result equals ``scipy.ndimage.uniform_filter(a, size,
+    mode="nearest")`` on float input byte for byte: each axis is a running
+    total of window differences, added in the same sequence as scipy's. An
+    integral image (one cumsum over the padded input, then differences)
+    rounds differently and moves reconstructed pixels.
     """
-    if mode not in ("constant", "nearest"):
-        raise ValueError(f"mode must be 'constant' or 'nearest', got {mode!r}")
     if size < 1:
         raise ValueError(f"box size must be >= 1, got {size}")
     out = np.asarray(a, dtype=float)
     if size == 1:
         return np.array(out, order="C")
     for axis in range(out.ndim):
-        out = _window_sums(out, axis, size // 2, (size - 1) // 2, mode)
+        out = _window_sums(out, axis, size // 2, (size - 1) // 2)
         out /= size
     return out
 
 
-def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int, mode: str) -> np.ndarray:
+def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
     """Sums of src[i - lo : i + hi + 1] along ``axis``, summed as a running total.
 
     The first window is added up in order from 0.0; every later entry starts
-    as the difference ``src[i + hi] - src[i - lo - 1]``, read as 0 or the edge
+    as the difference ``src[i + hi] - src[i - lo - 1]``, read as the edge
     value outside ``src``, written straight into the output. A running total
     then adds each entry to the one before it, in place. Off the last axis,
     cumsum walks one column at a time a whole row apart, so where a row (the
@@ -155,10 +152,7 @@ def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int, mode: str) -> np.
     def along(start, stop):
         return (slice(None),) * axis + (slice(start, stop),)
 
-    if mode == "nearest":
-        left, right = src[along(0, 1)], src[along(n - 1, n)]
-    else:
-        left = right = 0.0
+    left, right = src[along(0, 1)], src[along(n - 1, n)]
     first = out[along(0, 1)]
     first[...] = 0.0
     for j in range(-lo, hi + 1):

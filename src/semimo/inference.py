@@ -90,7 +90,7 @@ class SmoothingDenoiser:
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
         u = np.asarray(image, dtype=float)
-        blurred = box_mean(u, self.size, "nearest")
+        blurred = box_mean(u, self.size)
         w = self.strength / (1.0 + self.strength)
         blurred *= w  # in place: (1 - w) * u + w * blurred, one full-size array fewer
         blurred += (1.0 - w) * u
@@ -132,7 +132,7 @@ def _probe_direction(kind: int, shape, rng: np.random.Generator) -> np.ndarray:
     if kind == 1:  # constant: the worst case for averaging kernels
         return float(rng.choice((-1.0, 1.0))) * np.ones(shape)
     # smooth low-frequency field
-    return box_mean(rng.standard_normal(shape), 9, "nearest")
+    return box_mean(rng.standard_normal(shape), 9)
 
 
 def estimate_rho(

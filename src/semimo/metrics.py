@@ -1,4 +1,4 @@
-"""Lower-is-better image quality measures with pinned SSIM constants."""
+"""Lower-is-better image quality measures; SSIM with pinned constants and exact integer sums."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooks import PgmHook
-from .images import box_mean, image_distance
+from .images import image_distance
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -83,19 +83,25 @@ def psnr(ref, test) -> float:
     Identical images would be +inf; they return ``PSNR_CAP_DB`` instead so
     CSV output stays finite.
     """
-    a, b = _pair(ref, test)
-    mse = float(np.mean((a - b) ** 2))
+    diff = np.subtract(*_pair(ref, test))
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
 
 
 def _window_means(a: np.ndarray) -> np.ndarray:
-    """Means over every fully contained SSIM_WINDOW x SSIM_WINDOW patch."""
-    m = box_mean(a, SSIM_WINDOW, "constant")
-    lo = SSIM_WINDOW // 2
-    hi_trim = SSIM_WINDOW - 1 - lo
-    return m[lo : a.shape[0] - hi_trim, lo : a.shape[1] - hi_trim]
+    """Means over every fully contained SSIM_WINDOW x SSIM_WINDOW patch, as balanced sums.
+
+    A window sums as ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)) down the rows, then along
+    them, and /64 is exact: exact on integer images, depth-bounded error on floats.
+    """
+    sums = a
+    for step in (1, 2, 4):  # SSIM_WINDOW = 8 = 2 * 2 * 2
+        sums = sums[:-step] + sums[step:]
+    for step in (1, 2, 4):
+        sums = sums[:, :-step] + sums[:, step:]
+    return sums / (SSIM_WINDOW * SSIM_WINDOW)
 
 
 def ssim(ref, test) -> float:
@@ -104,11 +110,10 @@ def ssim(ref, test) -> float:
     Per window: (2*mx*my + C1)*(2*cov + C2) / ((mx^2 + my^2 + C1)*(vx + vy + C2)),
     with population (divide-by-n) moments and the pinned SSIM_C1, SSIM_C2.
     Uniform windows rather than Gaussian weighting keep the value exactly
-    reproducible. A ``ref`` given as a Reference skips filtering the
-    reference again.
+    reproducible, and the window sums are exact on integer images. A ``ref``
+    given as a Reference skips filtering the reference again.
     """
-    if not isinstance(ref, Reference):
-        ref = Reference(ref)
+    ref = ref if isinstance(ref, Reference) else Reference(ref)
     a, b = _pair(ref, test)
     mx, mxx = ref.mx, ref.mxx
     my = _window_means(b)
@@ -138,8 +143,8 @@ def ssim(ref, test) -> float:
 
 def mae(ref, test) -> float:
     """Mean absolute pixel difference on the [0, 1] intensity scale."""
-    a, b = _pair(ref, test)
-    return float(np.mean(np.abs(a - b)) / 255.0)
+    diff = np.subtract(*_pair(ref, test))
+    return float(np.mean(np.abs(diff, out=diff)) / 255.0)
 
 
 def mae_lipschitz(n_pixels: int) -> float:
@@ -179,9 +184,10 @@ class MetricReport:
 def metric_report(test, ref, external: "ExternalMetric | None" = None) -> MetricReport:
     """Score a reconstruction (first argument) against the reference.
 
-    ``ref`` is an array or a Reference; ``external`` gets the plain image.
+    ``ref``: an array (made one Reference) or a Reference; ``external`` gets the plain image.
     """
     ext = external(test, _plain(ref)) if external is not None else None
+    ref = ref if isinstance(ref, Reference) else Reference(ref)
     test = np.asarray(test, dtype=float)
     return MetricReport(
         neg_psnr=-psnr(ref, test),

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
 from semimo.images import synthetic_test_image
@@ -15,6 +17,7 @@ from semimo.metrics import (
     ExternalMetric,
     ExternalMetricError,
     Reference,
+    _window_means,
     mae,
     mae_lipschitz,
     metric_lipschitz_probe,
@@ -116,21 +119,74 @@ class TestMae:
         assert 0 < probed <= mae_lipschitz(base.size) + 1e-9
 
 
-def ssim_whole_arrays(ref, test, window=8, c1=SSIM_C1, c2=SSIM_C2):
+def scipy_window_means(x, window=8):
+    """scipy's running-sum box filter, trimmed to the fully contained windows."""
+    lo, hi = window // 2, window - 1 - window // 2
+    return uniform_filter(x, size=window, mode="constant")[
+        lo : x.shape[0] - hi, lo : x.shape[1] - hi
+    ]
+
+
+def tree_window_means(x, window=8):
+    """Each 8x8 window summed as ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)), rows then columns."""
+    blocks = sliding_window_view(np.asarray(x, dtype=float), (window, window))
+    for axis in (-2, -1):
+        while blocks.shape[axis] > 1:
+            even = np.take(blocks, range(0, blocks.shape[axis], 2), axis=axis)
+            odd = np.take(blocks, range(1, blocks.shape[axis], 2), axis=axis)
+            blocks = even + odd
+    return blocks[..., 0, 0] / (window * window)
+
+
+def ssim_whole_arrays(ref, test, c1=SSIM_C1, c2=SSIM_C2, means=scipy_window_means):
     """The SSIM formula on whole window-mean arrays, in its written order."""
     a = np.asarray(ref, dtype=float)
     b = np.asarray(test, dtype=float)
-    lo, hi = window // 2, window - 1 - window // 2
-
-    def means(x):
-        return uniform_filter(x, size=window, mode="constant")[
-            lo : x.shape[0] - hi, lo : x.shape[1] - hi
-        ]
-
     mx, my, mxx, myy, mxy = means(a), means(b), means(a * a), means(b * b), means(a * b)
     vx, vy, cov = mxx - mx * mx, myy - my * my, mxy - mx * my
     score = ((2 * mx * my + c1) * (2 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
     return float(score.mean())
+
+
+class TestWindowMeans:
+    SHAPES = [(8, 8), (9, 13), (128, 128), (300, 200)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_within_8_eps_of_the_exact_mean(self, shape):
+        # The running sums of a padded box filter drift with the row length
+        # (about 12 eps at 300x200); the pairwise tree's error is bounded by
+        # its depth. The sampled windows include the whole last row and the
+        # whole last column of windows.
+        rng = np.random.default_rng(shape[0] * shape[1])
+        uniform = rng.uniform(0, 255, shape)
+        images = {
+            "uniform": uniform, "square": uniform * uniform,
+            "lognormal": rng.lognormal(0, 2, shape),
+        }
+        rows, cols = shape[0] - 7, shape[1] - 7
+        windows = {(rows - 1, j) for j in range(cols)} | {(i, cols - 1) for i in range(rows)}
+        windows |= set(zip(rng.integers(0, rows, 200).tolist(), rng.integers(0, cols, 200).tolist()))
+        eps = np.finfo(float).eps
+        for kind, x in images.items():
+            got = _window_means(x)
+            assert got.shape == (rows, cols)
+            for i, j in windows:
+                exact = math.fsum(x[i : i + 8, j : j + 8].ravel()) / 64
+                assert abs(got[i, j] - exact) <= 8 * eps * exact, (kind, i, j)
+
+    @pytest.mark.parametrize("shape", SHAPES + [(300, 260)])
+    def test_integer_images_match_scipy_byte_for_byte(self, shape):
+        # Integer sums are exact in any order, so the valid windows of
+        # scipy's filter give the same bytes, products of pixels included.
+        rng = np.random.default_rng(shape[0] + shape[1])
+        image = rng.integers(0, 256, shape).astype(np.uint8)
+        as_float = image.astype(float)
+        for given in (image, as_float):
+            ref = Reference(given)
+            assert ref.mx.tobytes() == scipy_window_means(as_float).tobytes()
+            assert ref.mxx.tobytes() == scipy_window_means(as_float * as_float).tobytes()
+        products = as_float * rng.integers(0, 256, shape)
+        assert _window_means(products).tobytes() == scipy_window_means(products).tobytes()
 
 
 class TestReference:
@@ -143,7 +199,16 @@ class TestReference:
         if dtype is np.uint8:
             clean, noisy = clean.astype(np.uint8), noisy.astype(np.uint8)
         ref = Reference(clean)
-        assert ssim(ref, noisy) == ssim(clean, noisy) == ssim_whole_arrays(clean, noisy)
+        if dtype is np.uint8:
+            assert ssim(ref, noisy) == ssim(clean, noisy) == ssim_whole_arrays(clean, noisy)
+        else:
+            # Float window sums round in the tree's order, not in scipy's
+            # running-sum order: pin the tree, and stay close to scipy.
+            tree = ssim_whole_arrays(clean, noisy, means=tree_window_means)
+            assert ssim(ref, noisy) == ssim(clean, noisy) == tree
+            assert ref.mx.tobytes() == tree_window_means(clean).tobytes()
+            assert ref.mxx.tobytes() == tree_window_means(clean * clean).tobytes()
+            assert ssim(ref, noisy) == pytest.approx(ssim_whole_arrays(clean, noisy), rel=1e-13)
         assert psnr(ref, noisy) == psnr(clean, noisy)
         assert mae(ref, noisy) == mae(clean, noisy)
         assert metric_report(noisy, ref) == metric_report(noisy, clean)

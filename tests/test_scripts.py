@@ -74,17 +74,17 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "transceiver.split_bit_planes[1024x1024]",
             "transceiver.BitPlaneSource.to_image[128x128]",
             "transceiver.BitPlaneSource.to_image[1024x1024]",
-            "images.box_mean[128x128,constant8]",
+            "metrics._window_means[128x128]",
             "images.box_mean[128x128,nearest3]",
             "metrics.ssim[128x128,array]",
             "metrics.ssim[128x128,reference]",
             "inference.SmoothingDenoiser[128x128]",
-            "images.box_mean[512x512,constant8]",
+            "metrics._window_means[512x512]",
             "images.box_mean[512x512,nearest3]",
             "metrics.ssim[512x512,array]",
             "metrics.ssim[512x512,reference]",
             "inference.SmoothingDenoiser[512x512]",
-            "images.box_mean[1024x1024,constant8]",
+            "metrics._window_means[1024x1024]",
             "images.box_mean[1024x1024,nearest3]",
             "metrics.ssim[1024x1024,array]",
             "metrics.ssim[1024x1024,reference]",
@@ -94,6 +94,21 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             assert layer["n"] == 3 and layer["median"] > 0 and layer["iqr"] >= 0
             # samples are sized to last about a millisecond or more
             assert layer["median"] * layer["calls_per_sample"] >= 0.5
+
+
+def test_bench_layers_against_another_checkout(tmp_path, monkeypatch):
+    # This checkout against itself, loaded a second time under another name.
+    bench = load_script("bench_layers")
+    monkeypatch.setattr(bench, "SAMPLES", 2)
+    monkeypatch.delitem(sys.modules, "semimo_against", raising=False)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--out", str(out), "--label", "ab", "--against", str(ROOT)]) == 0
+    run = json.loads(out.read_text())["runs"]["ab"]
+    assert run["against_git_sha"] == run["git_sha"]
+    assert sys.modules["semimo_against"].metrics is not sys.modules["semimo.metrics"]
+    for layer in run["layers"].values():
+        assert layer["n"] == 2 and layer["against"]["median"] > 0
+        assert layer["ratio"]["median"] > 0 and layer["ratio"]["iqr"] >= 0
 
 
 def test_count_settables_on_a_known_module(tmp_path, capsys):
