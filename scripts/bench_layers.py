@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import subprocess
@@ -110,8 +109,6 @@ def _layers(package: str = "semimo"):
     box_mean, metrics = lib["images"].box_mean, lib["metrics"]
     QamConstellation, transceiver = lib["transceiver"].QamConstellation, lib["transceiver"]
     qam_modulate, qam_demodulate = transceiver.qam_modulate, transceiver.qam_demodulate
-    # Checkouts whose box_mean still takes a mode default it to "constant".
-    nearest = {"mode": "nearest"} if "mode" in inspect.signature(box_mean).parameters else {}
 
     cfg = lib["config"].ExperimentConfig()
     err_var = lib["config"].from_db(-10.0)
@@ -176,7 +173,7 @@ def _layers(package: str = "semimo"):
         layers.append((
             f"images.box_mean[{size}x{size},nearest{denoiser.size}]",
             {"size": size, "width": denoiser.size, "mode": "nearest"},
-            lambda image=noisy.astype(float), w=denoiser.size: box_mean(image, w, **nearest),
+            lambda image=noisy.astype(float), w=denoiser.size: box_mean(image, w),
         ))
         references = {"array": clean, "reference": metrics.Reference(clean)}
         for form, reference in references.items():

@@ -1,4 +1,4 @@
-"""8-bit grayscale image helpers: PGM I/O, a synthetic test card, distances, box means."""
+"""8-bit grayscale image helpers: PGM I/O, a synthetic test card, distances, box sums and means."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ __all__ = [
     "image_distance",
     "to_uint8",
     "box_mean",
+    "window_sums",
 ]
 
 
@@ -104,70 +105,46 @@ def image_distance(u, v) -> float:
     return float(np.linalg.norm((a - b).ravel() / 255.0))
 
 
-# Elements per row from which _window_sums adds whole rows in a Python loop
-# rather than running one strided cumsum: the measured break-even lies at
-# 192-256 on 2-D float arrays, and at 128 x 128 the loop's per-row cost loses.
-_ROW_LOOP_MIN = 256
-
-
 def box_mean(a, size: int) -> np.ndarray:
     """Mean over a ``size``-wide box around every element, as a C-ordered float array.
 
     The box spans ``size // 2`` elements before each one and ``(size - 1) //
     2`` after, on every axis; outside the array the input reads its nearest
-    edge value. The axes are filtered in turn in scipy's ``uniform_filter1d``
-    order, so the result equals ``scipy.ndimage.uniform_filter(a, size,
-    mode="nearest")`` on float input byte for byte: each axis is a running
-    total of window differences, added in the same sequence as scipy's. An
-    integral image (one cumsum over the padded input, then differences)
-    rounds differently and moves reconstructed pixels.
+    edge value. The ``window_sums`` of the edge-padded input are divided once
+    by ``size ** ndim``, so on integer-valued input each mean is correctly rounded.
     """
     if size < 1:
         raise ValueError(f"box size must be >= 1, got {size}")
-    out = np.asarray(a, dtype=float)
-    if size == 1:
-        return np.array(out, order="C")
-    for axis in range(out.ndim):
-        out = _window_sums(out, axis, size // 2, (size - 1) // 2)
-        out /= size
-    return out
+    a = np.asarray(a, dtype=float, order="C")  # np.pad keeps a Fortran order
+    if a.ndim == 0 or a.size == 0:  # np.pad takes neither
+        return a.copy()
+    sums = window_sums(np.pad(a, (size // 2, (size - 1) // 2), mode="edge"), size)
+    sums /= size**a.ndim
+    return sums
 
 
-def _window_sums(src: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
-    """Sums of src[i - lo : i + hi + 1] along ``axis``, summed as a running total.
+def window_sums(a, size: int) -> np.ndarray:
+    """Sums over every fully contained ``size``-wide box, one axis after the other.
 
-    The first window is added up in order from 0.0; every later entry starts
-    as the difference ``src[i + hi] - src[i - lo - 1]``, read as the edge
-    value outside ``src``, written straight into the output. A running total
-    then adds each entry to the one before it, in place. Off the last axis,
-    cumsum walks one column at a time a whole row apart, so where a row (the
-    elements at one index along ``axis``) holds at least _ROW_LOOP_MIN
-    elements, a loop adds each row to the one before it instead; elsewhere
-    one cumsum does it. Both make the same additions in the same order, so
-    the same bytes. No padded copy is built.
+    An axis of n elements gives max(n - size + 1, 0) sums. Along it the window
+    splits into power-of-two blocks by the binary digits of ``size``, smallest
+    first, each a balanced pairwise sum: at size 8, ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)).
+    Sums of integer values are exact; float error is bounded by the tree depth.
+    For size >= 2 the result is a new array, in the input's memory order.
     """
-    n = src.shape[axis]
-    out = np.empty(src.shape)
-
-    def along(start, stop):
-        return (slice(None),) * axis + (slice(start, stop),)
-
-    left, right = src[along(0, 1)], src[along(n - 1, n)]
-    first = out[along(0, 1)]
-    first[...] = 0.0
-    for j in range(-lo, hi + 1):
-        first += left if j < 0 else right if j >= n else src[along(j, j + 1)]
-    # Cut i = 1 .. n-1 where i + hi leaves src and where i - lo - 1 enters it,
-    # so each run reads each end wholly inside or wholly outside.
-    cuts = sorted({1, n, min(lo + 1, n), max(1, n - hi)})
-    for start, stop in zip(cuts, cuts[1:]):
-        plus = src[along(start + hi, stop + hi)] if start + hi < n else right
-        minus = src[along(start - lo - 1, stop - lo - 1)] if start > lo else left
-        np.subtract(plus, minus, out=out[along(start, stop)])
-    if axis < out.ndim - 1 and out.size >= _ROW_LOOP_MIN * n:
-        rows = np.moveaxis(out, axis, 0)  # a view: rows[i] is index i along axis
-        for prev, row in zip(rows, rows[1:]):
-            np.add(prev, row, out=row)
-    else:
-        np.cumsum(out, axis=axis, out=out)
-    return out
+    sums = np.asarray(a, dtype=float)
+    for axis in range(sums.ndim):
+        # Only the newest block stays referenced, so each temporary is freed once read.
+        block, sums, offset = sums.swapaxes(0, axis), None, 0
+        count = max(len(block) - size + 1, 0)
+        for k in range(size.bit_length()):
+            if k:  # blocks 2**k wide from pairs of blocks 2**(k-1) wide
+                half = 1 << (k - 1)
+                block = block[: max(len(block) - half, 0)] + block[half:]
+            if size >> k & 1:
+                window = block[offset : offset + count]
+                sums = window if sums is None else sums + window
+                offset += 1 << k
+        del window  # a view that would keep this axis's last block alive into the next
+        sums = sums.swapaxes(0, axis)
+    return sums

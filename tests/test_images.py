@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
@@ -8,8 +10,11 @@ from semimo.images import (
     read_pgm,
     synthetic_test_image,
     to_uint8,
+    window_sums,
     write_pgm,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_pgm_roundtrip(tmp_path):
@@ -80,50 +85,91 @@ def test_to_uint8_passthrough():
     assert to_uint8(img) is img
 
 
-def box_filter_inputs(shape, rng):
-    """Real, integer-valued and signed-zero inputs of one shape."""
-    signed_zeros = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], shape)
-    signed_zeros[0, 0] = signed_zeros[-1, -1] = -0.0
-    signed_zeros[:, 0] = -0.0  # a whole edge column of -0.0
-    return {
-        "real": rng.standard_normal(shape) * 100.0,
-        "integer": rng.integers(0, 256, shape).astype(float),
-        "signed_zeros": signed_zeros,
-        "all_minus_zero": np.full(shape, -0.0),
-    }
+SHAPES = [(3, 3), (4, 9), (9, 4), (8, 8), (9, 13), (128, 128), (300, 200),
+          (300, 255), (300, 256), (260, 300), (600, 8)]  # 3x3 at size 3: windows past both edges
 
 
-@pytest.mark.parametrize("mode", ["nearest"])  # scipy's name for box_mean's edge rule
-@pytest.mark.parametrize("size", range(2, 10))
-def test_box_mean_equals_scipy_uniform_filter_byte_for_byte(size, mode):
-    # 3x3 at size 3 and 4x9 at size 4 put windows wider than half the image.
-    # Axis 0 runs as one cumsum below 256 columns and as a row loop from 256.
+def int_box_mean(x, size):
+    """Edge-padded box sums in int64, exact, divided once by size ** ndim."""
+    padded = np.pad(x.astype(np.int64), (size // 2, (size - 1) // 2), mode="edge")
+    sums = np.zeros(x.shape, dtype=np.int64)
+    for offsets in np.ndindex(*(size,) * x.ndim):
+        sums += padded[tuple(slice(o, o + n) for o, n in zip(offsets, x.shape))]
+    return sums / size**x.ndim
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_box_mean_is_the_correctly_rounded_mean_on_integer_values(size):
     rng = np.random.default_rng(size)
-    shapes = [(3, 3), (4, 9), (9, 4), (8, 8), (9, 13), (128, 128), (300, 200)]
-    for shape in shapes + [(300, 255), (300, 256), (260, 300), (600, 8)]:
-        for kind, x in box_filter_inputs(shape, rng).items():
+    for shape in SHAPES:
+        for kind, x in {
+            "pixels": rng.integers(0, 256, shape).astype(float),
+            "signed": rng.integers(-(2**20), 2**20, shape).astype(float),
+        }.items():
             got = box_mean(x, size)
-            expected = uniform_filter(x, size=size, mode=mode)
             assert got.flags.c_contiguous, (shape, kind)
-            assert got.tobytes() == expected.tobytes(), (shape, kind)
+            assert got.tobytes() == int_box_mean(x, size).tobytes(), (shape, kind)
+        # The sign of an all-zero sum is not part of the contract: by value.
+        assert np.array_equal(box_mean(np.full(shape, -0.0), size), np.zeros(shape))
 
 
-@pytest.mark.parametrize("mode", ["nearest"])  # scipy's name for box_mean's edge rule
-def test_box_mean_other_layouts_and_ranks(mode):
+@pytest.mark.parametrize("size", range(1, 10))
+def test_box_mean_on_floats_matches_fsum_and_scipy(size):
+    rng = np.random.default_rng(100 + size)
+    lo, hi = size // 2, (size - 1) // 2
+    for shape in SHAPES:
+        x = rng.standard_normal(shape) * 100.0
+        got = box_mean(x, size)
+        assert got.flags.c_contiguous, shape
+        # scipy's running sums are the oracle, to a tolerance on the data scale.
+        expected = uniform_filter(x, size=size, mode="nearest")
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(x)), shape
+        # Sampled windows, the last row and the last column included: within
+        # 8 eps of the exact mean, relative to the mean of the |values| summed.
+        h, w = shape
+        sampled = list(zip(rng.integers(0, h, 32), rng.integers(0, w, 32)))
+        sampled += [(h - 1, j) for j in range(w)] + [(i, w - 1) for i in range(h)]
+        for i, j in sampled:
+            rows = np.clip(np.arange(i - lo, i + hi + 1), 0, h - 1)
+            cols = np.clip(np.arange(j - lo, j + hi + 1), 0, w - 1)
+            window = x[np.ix_(rows, cols)].ravel()
+            exact = math.fsum(window) / window.size
+            scale = math.fsum(np.abs(window)) / window.size
+            assert abs(got[i, j] - exact) <= 8 * EPS * scale, (shape, i, j)
+
+
+def test_box_mean_other_layouts_and_ranks():
     rng = np.random.default_rng(1)
     cases = [
         rng.standard_normal(17),
         rng.standard_normal((7, 9, 5)),
-        rng.standard_normal((4, 40, 70)),  # axes 0 and 1 both take the row loop
+        rng.standard_normal((4, 40, 70)),
         np.asfortranarray(rng.standard_normal((20, 30))),
         rng.standard_normal((40, 90))[::2, ::3],
         rng.standard_normal((1, 6)),
+        np.empty((0, 5)),  # an empty axis: nothing to pad, an empty result
+        np.array(2.5),  # no axes: the value itself
     ]
     for x in cases:
         for size in (1, 3, 8):
             got = box_mean(x, size)
+            expected = uniform_filter(x, size=size, mode="nearest")
             assert got.flags.c_contiguous
-            assert got.tobytes() == uniform_filter(x, size=size, mode=mode).tobytes()
+            assert got.shape == x.shape
+            assert np.all(np.abs(got - expected) <= 1e-13 * np.max(np.abs(x), initial=0.0))
+            assert got.tobytes() == box_mean(np.array(x, order="C"), size).tobytes()
+
+
+def test_window_sums_cover_whole_windows_only():
+    rng = np.random.default_rng(2)
+    for size in range(1, 10):
+        for shape in [(12, 7), (size - 1, 5), (2, 3), (11,), (3, 10, 9)]:
+            x = rng.integers(-(2**20), 2**20, shape)
+            got = window_sums(x.astype(float), size)
+            assert got.shape == tuple(max(n - size + 1, 0) for n in shape)
+            for index in np.ndindex(*got.shape):
+                window = x[tuple(slice(i, i + size) for i in index)]
+                assert got[index] == window.sum()
 
 
 def test_box_mean_input_untouched_and_bad_arguments():

@@ -2,10 +2,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from semimo.images import image_distance, synthetic_test_image
+from semimo.images import image_distance, synthetic_test_image, to_uint8
 from semimo.inference import (
     AffineContraction,
     ExternalCommandOperator,
@@ -68,6 +69,20 @@ class TestOperators:
     def test_denoiser_preserves_constants(self):
         out = apply_operator(SmoothingDenoiser(strength=5.0), np.full((16, 16), 77.0))
         np.testing.assert_allclose(out, 77.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 10), st.integers(1, 10)),
+                  elements=st.integers(0, 255)))
+    @example(np.array([[223, 188, 97, 5], [180, 121, 43, 134]]))  # at 134 the tie 107.5 -> 108
+    def test_denoiser_pixels_are_the_exact_blend_rounded_half_to_even(self, u):
+        # Strength 1, size 3: (u + S / 9) / 2 = (9u + S) / 18, with S the 3x3
+        # sum over repeated edges, all in int64; .5 ties round to even.
+        padded = np.pad(u, 1, mode="edge")
+        s = sum(padded[i : i + u.shape[0], j : j + u.shape[1]] for i in range(3) for j in range(3))
+        q, r = np.divmod(9 * u + s, 18)
+        expected = q + ((r > 9) | ((r == 9) & (q % 2 == 1)))
+        got = to_uint8(apply_operator(SmoothingDenoiser(strength=1.0), u))
+        np.testing.assert_array_equal(got, expected)
 
     def test_external_command_identity_via_copy(self):
         img = synthetic_test_image(16, 16)
