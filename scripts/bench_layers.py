@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, draws, bit planes, QAM, SSIM and filters per call, into a BENCH JSON.
+"""Time the oracle, budgets, draws, bit planes, QAM, SSIM and filters per call, into a BENCH JSON.
 
     python3 scripts/bench_layers.py --out BENCH_12.json --label change
     python3 scripts/bench_layers.py --out BENCH_12.json --label change --against ../parent
@@ -12,7 +12,9 @@ idea) and records the time per call; the rounds visit every layer in turn,
 so a spell of host contention falls on all of them. Each layer gets the
 median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
-other labels already in the file are kept. SSIM is timed against the
+other labels already in the file are kept. ``draw_channel_set`` is timed at
+the default size with perfect CSI and at -10 dB, and ``link_budget`` on the
+-10 dB draw. SSIM is timed against the
 reference array and against a prebuilt ``metrics.Reference``; SSIM's window
 means (``metrics._window_means``) on their own; ``box_mean`` as the denoiser
 calls it (size 3, nearest).
@@ -116,13 +118,25 @@ def _layers(package: str = "semimo"):
         cfg.n_tx, cfg.n_users, err_var, SeedSpec(cfg.master_seed))
     f = lib["precoding"].mf_precoder(channel.h_known)
     tx_power = cfg.tx_power(cfg.fixed_snr_db)
+    size = {"n_tx": cfg.n_tx, "n_users": cfg.n_users}
     layers = [(
         "link.empirical_link_budget",
-        {"scheme": "mf", "n_tx": cfg.n_tx, "n_users": cfg.n_users, "err_var": err_var,
+        {"scheme": "mf", **size, "err_var": err_var,
          "n_trials": cfg.n_error_draws, "snr_db": cfg.fixed_snr_db},
         lambda: lib["link"].empirical_link_budget(
             channel, f, tx_power, cfg.n_error_draws, SeedSpec(1)),
+    ), (
+        f"link.link_budget[{cfg.n_tx}x{cfg.n_users}]",
+        {"scheme": "mf", **size, "err_var": err_var, "snr_db": cfg.fixed_snr_db},
+        lambda: lib["link"].link_budget(channel, f, tx_power, cfg.noise_var),
     )]
+    for tag, var in (("perfect", 0.0), ("-10dB", err_var)):
+        layers.append((
+            f"channel.draw_channel_set[{cfg.n_tx}x{cfg.n_users},{tag}]",
+            {**size, "err_var": var},
+            lambda var=var: lib["channel"].draw_channel_set(
+                cfg.n_tx, cfg.n_users, var, SeedSpec(cfg.master_seed)),
+        ))
     rng = SeedSpec(2).rng()
     for shape in ((10000, 16), (8, 65536)):
         layers.append((

@@ -1,7 +1,7 @@
 """Wall-time scaling of precoder construction and log-log slope fits.
 
-The probes time the sweeps' builders (``sweeps._BUILDERS``) on the sweeps'
-channel draw (``draw_channel_set`` at perfect CSI).
+The probes time the builders of ``precoding.BUILDERS``, the table the sweeps
+pick from, on the sweeps' channel draw (``draw_channel_set`` at perfect CSI).
 """
 
 from __future__ import annotations
@@ -19,27 +19,22 @@ import numpy as np
 
 from .channel import SeedSpec, draw_channel_set
 from .config import ExperimentConfig
-from .sweeps import _BUILDERS
+from .precoding import BUILDERS
 
-__all__ = ["BenchRow", "BenchResult", "fit_loglog_slope", "run_complexity_bench", "write_bench_csv"]
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    scheme: str
-    n_users: int
-    n_tx: int
-    repetitions: int
-    median_time_s: float
+__all__ = ["BenchResult", "fit_loglog_slope", "run_complexity_bench", "write_bench_csv"]
 
 
 @dataclass(frozen=True)
 class BenchResult:
-    rows: tuple[BenchRow, ...]
+    """What the probe returns: median build seconds per scheme at each user count."""
+
+    users: tuple[int, ...]
+    repetitions: int  # timed builds per scheme and size
+    medians: dict  # scheme -> median seconds, one per entry of ``users``
     slopes: dict  # scheme -> fitted log-log slope of time vs n_users
 
     def times(self, scheme: str) -> dict[int, float]:
-        return {r.n_users: r.median_time_s for r in self.rows if r.scheme == scheme}
+        return dict(zip(self.users, self.medians[scheme]))
 
 
 def fit_loglog_slope(sizes, times) -> float:
@@ -83,7 +78,7 @@ def _probe_grid(users, repetitions, seed) -> dict[str, list[float]]:
     counts = [repetitions // rounds + (r < repetitions % rounds) for r in range(rounds)]
     channels = [draw_channel_set(TX_RATIO * n, n, 0.0, SeedSpec(seed)).h_known for n in users]
     medians = {}
-    for scheme, build in _BUILDERS.items():
+    for scheme, build in BUILDERS.items():
         samples = [[] for _ in users]
         for count in counts:
             for h, taken in zip(channels, samples):
@@ -122,15 +117,9 @@ def run_complexity_bench(cfg: ExperimentConfig) -> BenchResult:
         raise RuntimeError(
             f"complexity probe exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
         )
-    rows: list[BenchRow] = []
-    slopes: dict[str, float] = {}
-    for scheme, medians in json.loads(proc.stdout).items():
-        for n_users, median in zip(cfg.bench_users, medians):
-            rows.append(
-                BenchRow(scheme, n_users, TX_RATIO * n_users, cfg.bench_repetitions, median)
-            )
-        slopes[scheme] = fit_loglog_slope(cfg.bench_users, medians)
-    return BenchResult(tuple(rows), slopes)
+    medians = json.loads(proc.stdout)
+    slopes = {scheme: fit_loglog_slope(cfg.bench_users, m) for scheme, m in medians.items()}
+    return BenchResult(cfg.bench_users, cfg.bench_repetitions, medians, slopes)
 
 
 def write_bench_csv(result: BenchResult, path) -> None:
@@ -139,10 +128,8 @@ def write_bench_csv(result: BenchResult, path) -> None:
     for scheme, slope in sorted(result.slopes.items()):
         lines.append(f"# loglog_slope_{scheme}={slope:.4f}")
     lines.append("scheme,n_users,n_tx,repetitions,median_time_s")
-    for row in result.rows:
-        lines.append(
-            f"{row.scheme},{row.n_users},{row.n_tx},{row.repetitions},"
-            f"{row.median_time_s:.6e}"
-        )
+    for scheme, medians in result.medians.items():
+        for n, median in zip(result.users, medians):
+            lines.append(f"{scheme},{n},{TX_RATIO * n},{result.repetitions},{median:.6e}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -118,10 +118,8 @@ def draw_channel_set(
     shape = (n_tx, n_users)
     # Fortran order keeps per-user columns contiguous.
     h_known = np.asfortranarray(complex_gaussian(rng, shape, 1.0 / n_tx))
-    if err_var > 0:
-        h_true = np.asfortranarray(h_known + complex_gaussian(rng, shape, err_var))
-    else:
-        h_true = h_known.copy(order="F")
+    # At err_var 0 the error entries are +-0, and h_known + +-0 is h_known bit for bit.
+    h_true = np.asfortranarray(h_known + complex_gaussian(rng, shape, err_var))
     h_known.flags.writeable = False
     h_true.flags.writeable = False
     return ChannelSet(h_true, h_known, float(err_var))

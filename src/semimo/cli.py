@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -78,7 +79,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = args.out or Path(f"{args.command.replace('-', '_')}.csv")
+    stem = args.command.replace("-", "_")
+    out = args.out or Path("reconstructed.pgm" if stem == "reconstruct" else f"{stem}.csv")
+    # Every output of a verb goes into this one directory: check it before any work.
+    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        print(f"config error: cannot write into directory {out.parent}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.command == "snr-sweep":
             run_snr_sweep(cfg, out)
@@ -93,7 +99,6 @@ def main(argv=None) -> int:
                 print(f"{scheme}: log-log slope {slope:.3f}")
             print(f"wrote {out}")
         elif args.command == "reconstruct":
-            out = args.out or Path("reconstructed.pgm")
             _reconstruct(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

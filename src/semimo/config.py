@@ -15,7 +15,7 @@ from .inference import (
     SmoothingDenoiser,
 )
 from .link import square_qam_bits
-from .metrics import SSIM_WINDOW, ExternalMetric
+from .metrics import METRIC_NAMES, SSIM_WINDOW, ExternalMetric
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_operator", "from_db", "to_db"]
 
@@ -69,7 +69,7 @@ class ExperimentConfig:
     equalize_with_known_gain: bool = False
     bench_users: tuple[int, ...] = (32, 48, 64, 96, 128, 192, 256, 384, 512)
     bench_repetitions: int = 100
-    metric_set: tuple[str, ...] = ("mae", "neg_psnr", "one_minus_ssim")
+    metric_set: tuple[str, ...] = METRIC_NAMES
     external_metric: str = ""
     recon_scheme: str = "zf"
     recon_err_var_db: float = float("-inf")
@@ -79,8 +79,10 @@ class ExperimentConfig:
             raise ConfigError(f"need n_tx >= n_users >= 1, got {self.n_tx}, {self.n_users}")
         if not self.snr_grid_db or not self.err_var_grid_db:
             raise ConfigError("sweep grids must be non-empty")
-        if self.n_channel_trials < 1 or self.n_frames < 1 or self.n_error_draws < 1:
-            raise ConfigError("trial, frame and error-draw counts must be >= 1")
+        if self.n_channel_trials < 1 or self.n_frames < 1:
+            raise ConfigError("trial and frame counts must be >= 1")
+        if self.n_error_draws < 2:
+            raise ConfigError("n_error_draws must be >= 2: one draw gives no standard error")
         if not (np.isfinite(self.noise_var) and self.noise_var > 0):
             raise ConfigError(f"noise_var must be finite and > 0, got {self.noise_var}")
         # NaN, +-inf and huge dB values all land outside the checks in linear units.
@@ -113,10 +115,9 @@ class ExperimentConfig:
                 raise ConfigError(f"external_metric: {exc}") from exc
         if self.recon_scheme not in ("mf", "zf"):
             raise ConfigError(f"recon_scheme must be mf or zf, got {self.recon_scheme!r}")
-        known_metrics = {"mae", "neg_psnr", "one_minus_ssim"}
-        if not self.metric_set or not set(self.metric_set) <= known_metrics:
+        if not self.metric_set or not set(self.metric_set) <= set(METRIC_NAMES):
             raise ConfigError(
-                f"metric_set must be a non-empty subset of {sorted(known_metrics)}, "
+                f"metric_set must be a non-empty subset of {list(METRIC_NAMES)}, "
                 f"got {self.metric_set}"
             )
 

@@ -98,11 +98,17 @@ def image_distance(u, v) -> float:
     All error levels, bias levels, and contraction thresholds use this norm,
     which keeps them comparable across image resolutions.
     """
+    a, b = _float_pair(u, v)
+    return float(np.linalg.norm((a - b).ravel() / 255.0))
+
+
+def _float_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Two images as float arrays of one shape; unequal shapes raise ValueError."""
     a = np.asarray(u, dtype=float)
     b = np.asarray(v, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm((a - b).ravel() / 255.0))
+    return a, b
 
 
 def box_mean(a, size: int) -> np.ndarray:

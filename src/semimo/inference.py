@@ -253,12 +253,9 @@ def semantic_bound(
 def identity_bound(
     metric_floor: float, metric_lipschitz: float, expected_err: float
 ) -> float:
-    """Upper bound on the expected metric with no reconstruction at all."""
-    if metric_floor < 0 or expected_err < 0:
-        raise ValueError("metric_floor and expected_err must be >= 0")
-    if metric_lipschitz <= 0:
-        raise ValueError("metric_lipschitz must be > 0")
-    return metric_floor + metric_lipschitz * expected_err
+    """semantic_bound with no reconstruction: rho = 1 and epsilon = delta_eps = 0."""
+    identity = InferenceProfile(1.0, 0.0, 0.0, metric_lipschitz)
+    return semantic_bound(identity, metric_floor, expected_err)
 
 
 def inferiority_threshold(profile: InferenceProfile) -> float:

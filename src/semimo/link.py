@@ -49,14 +49,14 @@ class QamParams:
 class LinkBudget:
     """Per-user power decomposition and the average SINR it composes to.
 
-    sinr_k = (p_precode_k + p*err_var) / (i_precode_k + i_error_k + noise_var),
-    with i_error_k = p*(K-1)*err_var identical across users (it depends on the
-    system parameters only, not on the channel draw).
+    sinr_k = (p_precode_k + p*err_var) / (i_precode_k + i_error + noise_var).
+    The error term i_error = p*(K-1)*err_var is one number: it depends on the
+    system parameters only, not on the user or the channel draw.
     """
 
     p_precode: np.ndarray  # p |h_known_k^H f_k|^2
     i_precode: np.ndarray  # p sum_{j != k} |h_known_k^H f_j|^2
-    i_error: np.ndarray  # p (K-1) err_var, constant across users
+    i_error: float  # p (K-1) err_var
     sinr: np.ndarray
 
 
@@ -90,8 +90,7 @@ def link_budget(
     diag = np.diagonal(cross).copy()
     p_precode = tx_power * diag
     i_precode = tx_power * (cross.sum(axis=1) - diag)
-    n_users = channel.n_users
-    i_error = np.full(n_users, tx_power * (n_users - 1) * channel.err_var)
+    i_error = tx_power * (channel.n_users - 1) * channel.err_var
     sinr = (p_precode + tx_power * channel.err_var) / (i_precode + i_error + noise_var)
     return LinkBudget(p_precode, i_precode, i_error, sinr)
 
@@ -127,12 +126,15 @@ def empirical_link_budget(
     ``(n_trials, n_tx)`` channel sum or conjugate is built, and the gains are
     ``re**2 + im**2`` of those rows. With perfect CSI nothing is drawn:
     every trial would repeat the known channel's gains, so one row of them
-    gives the means and the standard errors are exactly 0. Means and
-    standard errors are taken of the unscaled gains and then multiplied by
-    ``p``, so their squares stay finite at any finite ``p``.
+    gives the means and the standard errors are exactly 0. With a CSI error,
+    ``n_trials`` must be >= 2 for the draws to give a standard error. Means
+    and standard errors are taken of the unscaled gains and then multiplied
+    by ``p``, so their squares stay finite at any finite ``p``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if channel.err_var > 0 and n_trials < 2:
+        raise ValueError("n_trials must be >= 2 with a CSI error: one draw has no standard error")
     h = channel.h_known
     if f.shape != h.shape:
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
@@ -160,10 +162,8 @@ def empirical_link_budget(
         intf = gains.sum(axis=1) - des
         desired[k] = des.mean()
         interference[k] = intf.mean()
-        desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
-        interference_se[k] = (
-            intf.std(ddof=1) / np.sqrt(n_trials) if n_trials > 1 else 0.0
-        )
+        desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials)
+        interference_se[k] = intf.std(ddof=1) / np.sqrt(n_trials)
     for estimate in (desired, interference, desired_se, interference_se):
         estimate *= tx_power
     return EmpiricalBudget(desired, interference, desired_se, interference_se, n_trials)

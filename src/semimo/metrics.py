@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooks import PgmHook
-from .images import image_distance, window_sums
+from .images import _float_pair, image_distance, window_sums
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -16,6 +16,7 @@ __all__ = [
     "SSIM_C1",
     "SSIM_C2",
     "SSIM_VARIANT",
+    "METRIC_NAMES",
     "MetricReport",
     "Reference",
     "psnr",
@@ -28,6 +29,8 @@ __all__ = [
     "ExternalMetricError",
 ]
 
+# MetricReport's built-in scores, in field order, which is also the sweep CSV's order.
+METRIC_NAMES = ("mae", "neg_psnr", "one_minus_ssim")
 PSNR_CAP_DB = 999.0
 SSIM_WINDOW = 8
 SSIM_C1 = (0.01 * 255.0) ** 2
@@ -69,21 +72,13 @@ def _plain(ref):
     return ref.image if isinstance(ref, Reference) else ref
 
 
-def _pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(_plain(ref), dtype=float)
-    b = np.asarray(test, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def psnr(ref, test) -> float:
     """Peak signal-to-noise ratio 10*log10(255^2 / MSE) in dB.
 
     Identical images would be +inf; they return ``PSNR_CAP_DB`` instead so
     CSV output stays finite.
     """
-    diff = np.subtract(*_pair(ref, test))
+    diff = np.subtract(*_float_pair(_plain(ref), test))
     mse = float(np.mean(np.square(diff, out=diff)))
     if mse == 0.0:
         return PSNR_CAP_DB
@@ -112,7 +107,7 @@ def ssim(ref, test) -> float:
     given as a Reference skips filtering the reference again.
     """
     ref = ref if isinstance(ref, Reference) else Reference(ref)
-    a, b = _pair(ref, test)
+    a, b = _float_pair(ref.image, test)
     mx, mxx = ref.mx, ref.mxx
     my = _window_means(b)
     myy = _window_means(b * b)
@@ -141,7 +136,7 @@ def ssim(ref, test) -> float:
 
 def mae(ref, test) -> float:
     """Mean absolute pixel difference on the [0, 1] intensity scale."""
-    diff = np.subtract(*_pair(ref, test))
+    diff = np.subtract(*_float_pair(_plain(ref), test))
     return float(np.mean(np.abs(diff, out=diff)) / 255.0)
 
 
@@ -173,9 +168,9 @@ def metric_lipschitz_probe(metric, samples) -> float:
 class MetricReport:
     """Lower-is-better scores of one reconstruction against its reference."""
 
+    mae: float
     neg_psnr: float
     one_minus_ssim: float
-    mae: float
     external: float | None = None
 
 

@@ -1,7 +1,7 @@
 """MF and ZF downlink precoder construction.
 
-The sweeps pick a builder by ``Scheme`` from ``sweeps._BUILDERS``, and
-``semimo bench`` times the builders of that same table.
+``BUILDERS`` maps each ``Scheme`` to its builder: the sweeps pick from it,
+and ``semimo bench`` times the builders of that same table.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ __all__ = [
     "GramConditionError",
     "mf_precoder",
     "zf_precoder",
+    "BUILDERS",
     "DEFAULT_COND_LIMIT",
 ]
 
@@ -92,3 +93,5 @@ def zf_precoder(h_known) -> np.ndarray:
     f.flags.writeable = False
     return f
 
+
+BUILDERS = {Scheme.MF: mf_precoder, Scheme.ZF: zf_precoder}

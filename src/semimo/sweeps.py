@@ -23,8 +23,10 @@ from .link import (
     expected_distortion,
     link_budget,
 )
-from .metrics import SSIM_VARIANT, ExternalMetric, MetricReport, Reference, metric_report
-from .precoding import Scheme, mf_precoder, zf_precoder
+from .metrics import (
+    METRIC_NAMES, SSIM_VARIANT, ExternalMetric, MetricReport, Reference, metric_report,
+)
+from .precoding import BUILDERS as _BUILDERS, Scheme
 from .transceiver import (
     BitPlaneSource, FrameResult, QamConstellation, split_bit_planes, transmit_frame,
 )
@@ -55,13 +57,9 @@ CSV_COLUMNS = [
     "i_precode_mean",
     "i_error",
     "exp_distortion",
-    "mae",
-    "neg_psnr",
-    "one_minus_ssim",
+    *METRIC_NAMES,
     "external_metric",
 ]
-
-_BUILDERS = {Scheme.MF: mf_precoder, Scheme.ZF: zf_precoder}
 
 
 def cell_entropy(master_seed: int, scheme: Scheme, snr_db: float, err_var: float) -> int:
@@ -193,7 +191,7 @@ def _simulate_cell(
         ber_analytic_sum += float(result.bers.mean())
         i_precode_sum += float(result.budget.i_precode.mean())
         distortion_sum += expected_distortion(result.bers, cfg.n_users)
-        i_error = float(result.budget.i_error[0])  # the same in every trial
+        i_error = result.budget.i_error  # the same in every trial
         if result.oracle is not None:
             oracle_interference += float(result.oracle.interference.mean())
             oracle_se.extend(result.oracle.interference_se.tolist())
@@ -213,7 +211,7 @@ def _simulate_cell(
             name: float(np.mean([getattr(r, name) for r in batch]))
             if name in cfg.metric_set
             else ""
-            for name in ("mae", "neg_psnr", "one_minus_ssim")
+            for name in METRIC_NAMES
         }
         row = {
             "case": case,

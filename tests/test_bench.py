@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from semimo import sweeps
+from semimo import bench, precoding, sweeps
 from semimo.bench import _probe_grid, fit_loglog_slope, run_complexity_bench, write_bench_csv
 from semimo.channel import SeedSpec, draw_channel_set
 from semimo.config import ExperimentConfig
+from semimo.precoding import Scheme
 
 
 def test_slope_fit_recovers_cubic():
@@ -21,9 +22,9 @@ def test_slope_fit_needs_two_points():
 def test_tiny_bench_runs_and_writes(tmp_path):
     cfg = ExperimentConfig(bench_users=(8, 16), bench_repetitions=5)
     result = run_complexity_bench(cfg)
-    assert {row.scheme for row in result.rows} == {"mf", "zf"}
-    assert all(row.median_time_s > 0 for row in result.rows)
-    assert all(row.n_tx == 2 * row.n_users for row in result.rows)
+    assert set(result.medians) == {"mf", "zf"}
+    assert all(m > 0 for medians in result.medians.values() for m in medians)
+    assert result.times("zf") == dict(zip((8, 16), result.medians["zf"]))
     assert set(result.slopes) == {"mf", "zf"}
 
     out = tmp_path / "bench.csv"
@@ -34,6 +35,18 @@ def test_tiny_bench_runs_and_writes(tmp_path):
     assert "scheme,n_users,n_tx,repetitions,median_time_s" in lines
     data = [line for line in lines if not line.startswith(("#", "scheme"))]
     assert len(data) == 4  # 2 schemes x 2 sizes
+    rows = [line.split(",") for line in data]
+    assert [(scheme, int(n)) for scheme, n, *_ in rows] == [
+        (scheme, n) for scheme in ("mf", "zf") for n in (8, 16)
+    ]
+    assert all(int(n_tx) == 2 * int(n) and reps == "5" for _, n, n_tx, reps, _ in rows)
+    assert all(float(median) > 0 for *_, median in rows)
+
+
+def test_sweeps_and_bench_share_the_builder_table():
+    # perfbench patches sweeps._BUILDERS entries; the bench must time the same ones.
+    assert sweeps._BUILDERS is precoding.BUILDERS is bench.BUILDERS
+    assert list(precoding.BUILDERS) == [Scheme.MF, Scheme.ZF]
 
 
 def test_probes_use_the_sweep_builders_and_channel_draw(monkeypatch):

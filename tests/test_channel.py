@@ -36,6 +36,16 @@ def test_perfect_csi_means_equal_matrices():
     assert np.all(csi_error(ch) == 0)
 
 
+@pytest.mark.parametrize("n_tx, n_users", [(16, 8), (64, 32), (256, 128), (1024, 512)])
+def test_perfect_csi_draw_is_h_known_bit_for_bit(n_tx, n_users):
+    # The error is drawn at variance 0 too; its +-0 entries leave h_known's bits.
+    for seed in range(3):
+        ch = draw_channel_set(n_tx, n_users, 0.0, SeedSpec(seed, 4))
+        assert ch.h_true.tobytes() == ch.h_known.tobytes()
+        assert ch.h_true.flags.f_contiguous and not ch.h_true.flags.writeable
+        assert not np.shares_memory(ch.h_true, ch.h_known)
+
+
 def test_unit_average_channel_power():
     # E||h_k||^2 = n_tx * (1/n_tx) = 1 at n_tx = 4: Monte-Carlo over 1e5
     # user columns drawn across independent trials.

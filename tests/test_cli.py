@@ -114,12 +114,13 @@ def test_missing_image_is_config_error(tmp_path):
         "operator = smooth:strength=inf\n",
         "operator = affine:factor=0.5,anchor=flat:nan\n",
         "operator = affine:factor=0.5,anchor=flat:inf\n",
+        "n_error_draws = 1\n",
     ],
     ids=[
         "non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template",
         "zero-noise", "zero-error-draws", "nan-fixed-snr", "inf-snr", "nan-err-var",
         "huge-snr", "huge-err-var", "affine-anchor-shape", "nan-strength", "inf-strength",
-        "nan-anchor", "inf-anchor",
+        "nan-anchor", "inf-anchor", "one-error-draw",
     ],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):
@@ -129,6 +130,20 @@ def test_bad_input_rejected_before_first_cell(tmp_path, extra):
     for verb in ("snr-sweep", "csi-sweep", "reconstruct"):
         assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()  # no partial output: nothing ran
+
+
+@pytest.mark.parametrize("parent", ["missing", "a-file"])
+@pytest.mark.parametrize("verb", ["snr-sweep", "csi-sweep", "bench", "reconstruct"])
+def test_unwritable_out_rejected_before_any_work(tmp_path, monkeypatch, verb, parent):
+    cfg = write_small_config(tmp_path)
+    (tmp_path / "a-file").write_text("")
+    ran = []
+    for name in ("run_snr_sweep", "run_csi_error_sweep", "run_complexity_bench", "run_trial"):
+        monkeypatch.setattr(f"semimo.cli.{name}", lambda *a, name=name: ran.append(name))
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / parent / "x.out"
+    assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert ran == [] and sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])

@@ -192,6 +192,22 @@ class TestBounds:
         assert identity_bound(0.4, 2.0, 0.0) == pytest.approx(0.4)
         assert identity_bound(0.0, 1.0, 0.3) == pytest.approx(0.3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        floor=st.floats(0.0, allow_infinity=False),
+        lip=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        err=st.floats(0.0, allow_infinity=False),
+    )
+    def test_identity_bound_is_the_identity_receivers_semantic_bound(self, floor, lip, err):
+        bound = identity_bound(floor, lip, err)
+        assert bound == semantic_bound(InferenceProfile(1.0, 0.0, 0.0, lip), floor, err)
+        assert bound == floor + lip * err
+
+    @pytest.mark.parametrize("lip", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_identity_bound_rejects_a_bad_lipschitz_constant(self, lip):
+        with pytest.raises(ValueError):
+            identity_bound(0.1, lip, 0.3)
+
     def test_threshold_arithmetic(self):
         assert inferiority_threshold(self.profile()) == pytest.approx(0.2)
         assert inferiority_threshold(self.profile(epsilon=0.0, delta_eps=0.0)) == 0.0

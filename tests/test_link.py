@@ -164,6 +164,13 @@ class TestEmpiricalBudget:
             est.interference, budget.i_precode, rtol=1e-12, atol=1e-12 * budget.p_precode.max()
         )
 
+    def test_one_error_draw_is_rejected(self):
+        # One draw has no spread to estimate, so it cannot give a standard error.
+        ch, mf, _ = channel_and_precoders(16, 8, 0.1, 27)
+        with pytest.raises(ValueError, match="n_trials"):
+            empirical_link_budget(ch, mf, 1.0, 1, SeedSpec(506))
+        assert np.all(empirical_link_budget(ch, mf, 1.0, 2, SeedSpec(506)).interference_se > 0)
+
     @pytest.mark.parametrize("err_var", [0.01, 0.1])
     @pytest.mark.parametrize("which", ["mf", "zf"])
     def test_decomposition_additivity(self, err_var, which):

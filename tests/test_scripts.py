@@ -62,6 +62,9 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
         assert run["host"]["cores"] >= 1 and "blas_name" in run["host"]
         assert set(run["layers"]) == {
             "link.empirical_link_budget",
+            "link.link_budget[16x8]",
+            "channel.draw_channel_set[16x8,perfect]",
+            "channel.draw_channel_set[16x8,-10dB]",
             "channel.complex_gaussian[10000x16]",
             "channel.complex_gaussian[8x65536]",
             "transceiver.qam_modulate[qam4,8x65536]",

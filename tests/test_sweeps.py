@@ -1,5 +1,6 @@
 import csv
 import io
+import dataclasses
 import math
 import sys
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from semimo.channel import SeedSpec, draw_channel_set
 from semimo.config import ExperimentConfig
 from semimo.inference import SmoothingDenoiser
-from semimo.metrics import ExternalMetricError, Reference
+from semimo.metrics import METRIC_NAMES, ExternalMetricError, MetricReport, Reference
 from semimo.precoding import Scheme, zf_precoder
 from semimo.sweeps import (
     CSV_COLUMNS,
@@ -42,6 +43,15 @@ def small_config(**kw):
 
 def rows_by_key(rows):
     return {(r["case"], r["scheme"], r["recon"], r["snr_db"], r["err_var_db"]): r for r in rows}
+
+
+def test_one_list_of_metric_names():
+    # The CSV's metric columns sit between exp_distortion and external_metric.
+    first, last = CSV_COLUMNS.index("exp_distortion"), CSV_COLUMNS.index("external_metric")
+    assert tuple(CSV_COLUMNS[first + 1 : last]) == METRIC_NAMES
+    fields = tuple(f.name for f in dataclasses.fields(MetricReport))
+    assert fields == (*METRIC_NAMES, "external")
+    assert ExperimentConfig().metric_set == METRIC_NAMES
 
 
 def test_snr_sweep_shape_and_schema(tmp_path):
