@@ -14,10 +14,10 @@ median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
 other labels already in the file are kept. ``draw_channel_set`` is timed at
 the default size with perfect CSI and at -10 dB, and ``link_budget`` on the
--10 dB draw. SSIM is timed against the
-reference array and against a prebuilt ``metrics.Reference``; SSIM's window
-means (``metrics._window_means``) on their own; ``box_mean`` as the denoiser
-calls it (size 3, nearest).
+-10 dB draw. SSIM is timed against the reference array and against a
+prebuilt ``metrics.Reference``; SSIM's window means
+(``metrics._window_means``) on their own; ``box_mean`` as the denoiser calls
+it (size 3, nearest).
 
 ``--against <checkout>`` loads that checkout's ``src/semimo`` as a second
 package, ``semimo_against``, builds the same layers from it and times the two

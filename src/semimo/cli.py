@@ -82,8 +82,8 @@ def main(argv=None) -> int:
     stem = args.command.replace("-", "_")
     out = args.out or Path("reconstructed.pgm" if stem == "reconstruct" else f"{stem}.csv")
     # Every output of a verb goes into this one directory: check it before any work.
-    if not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
-        print(f"config error: cannot write into directory {out.parent}", file=sys.stderr)
+    if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+        print(f"config error: cannot write {out}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if args.command == "snr-sweep":

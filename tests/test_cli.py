@@ -132,18 +132,18 @@ def test_bad_input_rejected_before_first_cell(tmp_path, extra):
         assert not out.exists()  # no partial output: nothing ran
 
 
-@pytest.mark.parametrize("parent", ["missing", "a-file"])
+@pytest.mark.parametrize("out", ["missing/x.out", "a-file/x.out", "a-dir"])
 @pytest.mark.parametrize("verb", ["snr-sweep", "csi-sweep", "bench", "reconstruct"])
-def test_unwritable_out_rejected_before_any_work(tmp_path, monkeypatch, verb, parent):
+def test_unwritable_out_rejected_before_any_work(tmp_path, monkeypatch, verb, out):
     cfg = write_small_config(tmp_path)
     (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
     ran = []
     for name in ("run_snr_sweep", "run_csi_error_sweep", "run_complexity_bench", "run_trial"):
         monkeypatch.setattr(f"semimo.cli.{name}", lambda *a, name=name: ran.append(name))
-    before = sorted(tmp_path.iterdir())
-    out = tmp_path / parent / "x.out"
-    assert main([verb, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert ran == [] and sorted(tmp_path.iterdir()) == before
+    before = sorted(tmp_path.rglob("*"))
+    assert main([verb, "--config", str(cfg), "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert ran == [] and sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
-from semimo.images import synthetic_test_image
+from semimo.images import image_distance, synthetic_test_image
 from semimo.metrics import (
     PSNR_CAP_DB,
     SSIM_C1,
@@ -258,6 +258,14 @@ def test_symmetry(a, b):
     assert psnr(a, b) == psnr(b, a)
     assert mae(a, b) == mae(b, a)
     assert ssim(a, b) == pytest.approx(ssim(b, a), rel=1e-12)
+
+
+@pytest.mark.parametrize("score", [image_distance, psnr, mae, ssim])
+@pytest.mark.parametrize("shape", [(10, 1), (1, 10), (10,)])
+def test_image_pairs_of_broadcastable_shapes_are_rejected(score, shape):
+    # One check serves every score: numpy would broadcast these shapes silently.
+    with pytest.raises(ValueError, match="image shapes differ"):
+        score(np.zeros((10, 10)), np.zeros(shape))
 
 
 def test_report_orientation():

@@ -1,6 +1,6 @@
 import csv
-import io
 import dataclasses
+import io
 import math
 import sys
 import warnings
