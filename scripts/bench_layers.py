@@ -144,7 +144,7 @@ def _layers(package: str = "semimo"):
             {"shape": list(shape), "var": 0.1},
             lambda shape=shape: complex_gaussian(rng, shape, 0.1),
         ))
-    for order in (4, 16):
+    for order in (4, 16, 64):
         constellation = QamConstellation.square(order)
         # A full transmit_frame block, and one 128x128 frame at 4-QAM.
         for n_symbols in (65536, 8192):

@@ -11,6 +11,7 @@ from .bench import run_complexity_bench, write_bench_csv
 from .channel import SeedSpec
 from .config import ConfigError, from_db, load_config
 from .images import write_pgm
+from .metrics import METRIC_NAMES
 from .precoding import Scheme
 from .sweeps import (
     load_operator, load_source, run_csi_error_sweep, run_snr_sweep, run_trial, score_frame,
@@ -62,10 +63,7 @@ def _reconstruct(cfg, out_path: Path) -> None:
     print(f"analytic ber per stream: {' '.join(f'{b:.3e}' for b in trial.bers)}")
     print(f"empirical ber per stream: {' '.join(f'{b:.3e}' for b in frame.ber)}")
     for label, (_, rep) in scored.items():
-        print(
-            f"{label}: mae={rep.mae:.5f} neg_psnr={rep.neg_psnr:.3f} "
-            f"one_minus_ssim={rep.one_minus_ssim:.5f}"
-        )
+        print(f"{label}: " + " ".join(f"{name}={getattr(rep, name):.5f}" for name in METRIC_NAMES))
     print(f"wrote {received_path} and {out_path}")
 
 

@@ -16,6 +16,7 @@ from .inference import (
 )
 from .link import square_qam_bits
 from .metrics import METRIC_NAMES, SSIM_WINDOW, ExternalMetric
+from .precoding import Scheme
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_operator", "from_db", "to_db"]
 
@@ -113,8 +114,10 @@ class ExperimentConfig:
                 ExternalMetric(self.external_metric)  # checks the template's placeholders
             except ValueError as exc:
                 raise ConfigError(f"external_metric: {exc}") from exc
-        if self.recon_scheme not in ("mf", "zf"):
-            raise ConfigError(f"recon_scheme must be mf or zf, got {self.recon_scheme!r}")
+        schemes = [scheme.value for scheme in Scheme]
+        if self.recon_scheme not in schemes:
+            names = " or ".join(schemes)
+            raise ConfigError(f"recon_scheme must be {names}, got {self.recon_scheme!r}")
         if not self.metric_set or not set(self.metric_set) <= set(METRIC_NAMES):
             raise ConfigError(
                 f"metric_set must be a non-empty subset of {list(METRIC_NAMES)}, "

@@ -259,7 +259,7 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
     cells = [
         (snr_db, err_var, scheme)
         for (snr_db, err_var) in grid
-        for scheme in (Scheme.MF, Scheme.ZF)
+        for scheme in Scheme
     ]
 
     def run(cell):

@@ -92,10 +92,6 @@ def split_bit_planes(image) -> BitPlaneSource:
     return BitPlaneSource(width, height, planes)
 
 
-def _gray(i: np.ndarray) -> np.ndarray:
-    return i ^ (i >> 1)
-
-
 @dataclass(frozen=True)
 class QamConstellation:
     """Gray-labeled square M-QAM with unit average symbol energy.
@@ -118,7 +114,7 @@ class QamConstellation:
         raw = np.arange(-(n_levels - 1), n_levels, 2, dtype=float)
         levels = raw / np.sqrt(2.0 * np.mean(raw**2))  # E|x|^2 = 1 exactly
         axis = np.empty(n_levels)  # axis[per-axis label] = amplitude
-        axis[_gray(np.arange(n_levels))] = levels
+        axis[np.arange(n_levels) ^ (np.arange(n_levels) >> 1)] = levels  # Gray codes
         points = (axis[:, None] + 1j * axis[None, :]).ravel()
         points.flags.writeable = False
         levels.flags.writeable = False
@@ -156,28 +152,27 @@ def qam_demodulate(
     nearest level is exactly the minimum-Euclidean-distance decision. Each
     row of a ``(K, n)`` input gives ``n * bits_per_symbol`` bits, trimmed to
     the first ``n_bits`` when given (dropping the modulation pad).
+
+    Gray bit j of an axis flips at each edge t with t + 1 = 2^j (mod
+    2^(j+1)): it is the parity of ``~(x <= edge)`` (NaN lies past every
+    edge) over ``edges[2^j - 1 :: 2^(j+1)]``. The parities of ``x <= edge``
+    go straight into the bit array; only each axis's MSB has an odd edge
+    count, so one in-place not fixes those columns and no temporary is made.
     """
     z = np.asarray(symbols, dtype=np.complex128)
     levels = constellation.levels
     edges = (levels[1:] + levels[:-1]) / 2.0
-    m = constellation.bits_per_symbol
-    bits = np.empty(z.shape + (m,), dtype=np.uint8)
-    if m == 2:
-        # One edge per axis, and each level index is its own Gray label and
-        # bit. searchsorted's index there is ~(x <= edge): unlike x > edge,
-        # that also sends NaN to 1. Both comparisons write straight into the
-        # bit array, seen as bool, and one in-place not finishes it, so no
-        # temporary is built.
-        flags = bits.view(bool)
-        np.less_equal(z.real, edges[0], out=flags[..., 0])
-        np.less_equal(z.imag, edges[0], out=flags[..., 1])
-        np.logical_not(flags, out=flags)
-    else:
-        labels = (_gray(np.searchsorted(edges, z.real)) << (m // 2)) | _gray(
-            np.searchsorted(edges, z.imag)
-        )
-        for j in range(m):  # flat passes: a broadcast (..., m) shift is slower at small m
-            bits[..., j] = (labels >> (m - 1 - j)) & 1
+    half = constellation.bits_per_symbol // 2
+    bits = np.empty(z.shape + (2 * half,), dtype=np.uint8)
+    flags = bits.view(bool)
+    for offset, x in ((0, z.real), (half, z.imag)):
+        for p in range(half):  # MSB first: column offset + p holds Gray bit half - 1 - p
+            step = 1 << (half - 1 - p)
+            first, *rest = edges[step - 1 :: 2 * step]
+            np.less_equal(x, first, out=flags[..., offset + p])
+            for edge in rest:
+                np.not_equal(flags[..., offset + p], x <= edge, out=flags[..., offset + p])
+    np.logical_not(flags[..., ::half], out=flags[..., ::half])
     bits = bits.reshape(z.shape[:-1] + (-1,))
     return bits[..., :n_bits] if n_bits is not None else bits
 
@@ -214,7 +209,9 @@ def transmit_frame(
     when ``equalize_with_known_gain``) and slices to the nearest
     constellation point. All K streams go through in blocks of a fixed
     number of symbols, each with its own noise substream of ``seed``, so the
-    same seed and the same frame size always give the same result.
+    same seed and the same frame size always give the same result. The noise
+    is drawn at every ``noise_var``: at 0 its entries are ±0, which leave
+    each detected bit as it is.
 
     A user whose effective gain magnitude falls below UNDETECTABLE_GAIN gets
     its plane zeroed and a BER of 0.5 assigned.
@@ -242,8 +239,7 @@ def transmit_frame(
         bits = sent[:, start:start + step]
         received = cross @ qam_modulate(bits, constellation)
         received *= amp  # in place: one block-sized array fewer at the peak
-        if noise_var > 0:
-            received += complex_gaussian(seed.rng(block), received.shape, noise_var)
+        received += complex_gaussian(seed.rng(block), received.shape, noise_var)
         received /= gains[:, None]
         detected[:, start:start + step] = qam_demodulate(received, constellation, bits.shape[1])
 

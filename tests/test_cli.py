@@ -5,6 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 
+from semimo import cli
 from semimo.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from semimo.images import read_pgm, write_pgm
 
@@ -57,6 +58,23 @@ def test_reconstruct_verb(tmp_path, capsys):
     assert read_pgm(out).shape == (32, 32)
     printed = capsys.readouterr().out
     assert "empirical ber per stream" in printed
+
+
+def test_reconstruct_prints_the_metric_names(tmp_path, capsys, monkeypatch):
+    # The scores follow METRIC_NAMES, so a name added there is printed too.
+    names = ("one_minus_ssim", "mae")
+    monkeypatch.setattr(cli, "METRIC_NAMES", names)
+    cfg = write_small_config(tmp_path)
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "r.pgm")]) == EXIT_OK
+    scores = {}
+    for line in capsys.readouterr().out.splitlines():
+        label, _, rest = line.partition(": ")
+        if label in ("identity", "operator"):
+            scores[label] = [pair.split("=") for pair in rest.split()]
+    assert set(scores) == {"identity", "operator"}
+    for pairs in scores.values():
+        assert [name for name, _ in pairs] == list(names)
+        assert all(len(value.split(".")[1]) == 5 for _, value in pairs)
 
 
 def test_seed_flag_changes_output(tmp_path):

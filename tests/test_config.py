@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from semimo.cli import EXIT_CONFIG, main
 from semimo.config import ConfigError, ExperimentConfig, build_operator, load_config
 from semimo.inference import IdentityOperator, SmoothingDenoiser
+from semimo.precoding import Scheme
 
 
 def test_defaults_match_headline_setup():
@@ -77,6 +80,15 @@ def test_malformed_line_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_recon_scheme_is_one_of_the_schemes():
+    for scheme in Scheme:
+        assert ExperimentConfig(recon_scheme=scheme.value).recon_scheme == scheme.value
+    for bad in ("", "MF", "mmse", "zf "):
+        message = f"recon_scheme must be mf or zf, got {bad!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig(recon_scheme=bad)
 
 
 def test_invalid_combination_rejected():

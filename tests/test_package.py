@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import semimo
+from semimo.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -34,6 +35,18 @@ def test_readme_library_example_runs(tmp_path):
     proc = run_python(block, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "(128, 128)" in proc.stdout
+
+
+def test_readme_config_block_loads(tmp_path):
+    # Only whole-line "#" comments are comments: an inline one became part
+    # of the image path.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.source_image().shape == (cfg.image_height, cfg.image_width)
 
 
 def test_importing_every_module_leaves_scipy_unloaded():

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +34,35 @@ def test_perfbench_trace_targets_all_resolve(monkeypatch):
 
     assert not hasattr(transceiver.FrameResult.image, "__wrapped__")
     assert not hasattr(sweeps.split_bit_planes, "__wrapped__")
+
+
+def test_perfbench_workloads_run_and_pass_their_checks(tmp_path, monkeypatch):
+    # The library API perfbench drives, traced as in a --trace run: QamParams,
+    # transmit_frame's equalize_with_known_gain=, FrameResult's ber,
+    # bit_errors and bits_per_stream, EmpiricalBudget.n_trials, the oracle
+    # rows and the config keys it writes.
+    tracing = load_file("perfbench_tracing", ROOT / "perfbench" / "tracing.py", monkeypatch)
+    workloads = load_file("perfbench_workloads", ROOT / "perfbench" / "workloads.py", monkeypatch)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # import_library prepends src
+    lib = workloads.import_library(ROOT)
+    tracer = tracing.Tracer()
+    try:
+        assert tracer.install(workloads.TRACE_TARGETS) == []
+        ready = workloads.build_inputs(lib, "image_transport", 1, tmp_path)
+        image = workloads.ImageWorkload(ready)
+        for index, scheme in enumerate(("zf", "mf")):
+            result, bers, _ = image.pipeline(128, scheme, index, tracer.span)
+            assert image.check(128, scheme, result, bers) == []
+
+        ready = workloads.build_inputs(lib, "csi_sweep", 1, tmp_path)
+        cfg = replace(ready.cfg, err_var_grid_db=(float("-inf"), -10.0), n_error_draws=200)
+        out = tmp_path / "csi.csv"
+        rows = lib["sweeps"].run_csi_error_sweep(cfg, out)
+    finally:
+        tracer.uninstall()
+    assert workloads.check_sweep(cfg, "csi", out.read_text(encoding="utf-8"), rows) == []
+    assert tracer.counts["link.oracle_draws"] == 2 * cfg.n_channel_trials * 200 * cfg.n_users
+    assert tracer.counts["transceiver.frames"] == 2 + 4 * cfg.n_channel_trials
 
 
 def test_demo_reconstruction_writes_every_stage(tmp_path, monkeypatch, capsys):
@@ -73,6 +103,8 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "transceiver.qam_demodulate[qam4,8x8192]",
             "transceiver.qam_demodulate[qam16,8x65536]",
             "transceiver.qam_demodulate[qam16,8x8192]",
+            "transceiver.qam_demodulate[qam64,8x65536]",
+            "transceiver.qam_demodulate[qam64,8x8192]",
             "transceiver.split_bit_planes[128x128]",
             "transceiver.split_bit_planes[1024x1024]",
             "transceiver.BitPlaneSource.to_image[128x128]",

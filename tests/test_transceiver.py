@@ -131,7 +131,8 @@ class TestConstellation:
             ).astype(np.uint8).ravel()
             assert np.array_equal(fast, brute), order
 
-    def test_qpsk_comparison_slicer_equals_searchsorted_rule(self):
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_comparison_slicer_equals_searchsorted_rule(self, order):
         # The general rule: searchsorted per axis, Gray labels, MSB first.
         def searchsorted_bits(symbols, const, n_bits=None):
             edges = (const.levels[1:] + const.levels[:-1]) / 2.0
@@ -143,18 +144,26 @@ class TestConstellation:
             bits = bits.reshape(symbols.shape[:-1] + (-1,))
             return bits[..., :n_bits] if n_bits is not None else bits
 
-        const = QamConstellation.square(4)
-        # Every pair of edge cases as (real, imag), then random values.
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300])
-        flat = np.empty(320, dtype=np.complex128)
-        flat.real = np.random.default_rng(9).normal(size=320)
-        flat.imag = np.random.default_rng(10).normal(size=320)
-        flat.real[:49] = np.repeat(special, 7)
-        flat.imag[:49] = np.tile(special, 7)
-        rows = flat.reshape(8, 40)
-        for symbols in (flat, rows, flat.reshape(4, 8, 10), rows[:, ::2]):  # 3-D; strided
+        const = QamConstellation.square(order)
+        edges = (const.levels[1:] + const.levels[:-1]) / 2.0
+        # Every pair of edge cases as (real, imag): each decision edge and its
+        # neighbours one ulp away, signed zeros, infinities, NaN; then random
+        # values over the whole constellation.
+        special = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300],
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ])
+        n_special = special.size**2
+        size = -(-(n_special + 160) // 32) * 32  # whole rows of 8 and blocks of 4 x 8
+        flat = np.empty(size, dtype=np.complex128)
+        flat.real = np.random.default_rng(9).normal(size=size)
+        flat.imag = np.random.default_rng(10).normal(size=size)
+        flat.real[:n_special] = np.repeat(special, special.size)
+        flat.imag[:n_special] = np.tile(special, special.size)
+        rows = flat.reshape(8, -1)
+        for symbols in (flat, rows, flat.reshape(4, 8, -1), rows[:, ::2]):  # 3-D; strided
             n = symbols.shape[-1]
-            for n_bits in (None, 2 * n - 1):
+            for n_bits in (None, const.bits_per_symbol * n - 1):
                 fast = qam_demodulate(symbols, const, n_bits)
                 assert fast.dtype == np.uint8
                 np.testing.assert_array_equal(fast, searchsorted_bits(symbols, const, n_bits))
