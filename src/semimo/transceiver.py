@@ -160,8 +160,7 @@ def qam_demodulate(
     count, so one in-place not fixes those columns and no temporary is made.
     """
     z = np.asarray(symbols, dtype=np.complex128)
-    levels = constellation.levels
-    edges = (levels[1:] + levels[:-1]) / 2.0
+    edges = (constellation.levels[1:] + constellation.levels[:-1]) / 2.0
     half = constellation.bits_per_symbol // 2
     bits = np.empty(z.shape + (2 * half,), dtype=np.uint8)
     flags = bits.view(bool)
@@ -172,7 +171,8 @@ def qam_demodulate(
             np.less_equal(x, first, out=flags[..., offset + p])
             for edge in rest:
                 np.not_equal(flags[..., offset + p], x <= edge, out=flags[..., offset + p])
-    np.logical_not(flags[..., ::half], out=flags[..., ::half])
+    msb = flags[..., ::half]  # one view as input and output: two raised csi_sweep's peak RSS
+    np.logical_not(msb, out=msb)
     bits = bits.reshape(z.shape[:-1] + (-1,))
     return bits[..., :n_bits] if n_bits is not None else bits
 
