@@ -12,7 +12,9 @@ idea) and records the time per call; the rounds visit every layer in turn,
 so a spell of host contention falls on all of them. Each layer gets the
 median, the interquartile range and the count of its SAMPLES samples. The
 run is stored under ``runs[label]`` with the host block and the git sha;
-other labels already in the file are kept. ``draw_channel_set`` is timed at
+other labels already in the file are kept. ``sweeps._simulate_cell`` is
+timed on the default config for MF at the fixed SNR, as an SNR cell (perfect
+CSI) and as a CSI cell at -10 dB. ``draw_channel_set`` is timed at
 the default size with perfect CSI and at -10 dB, and ``link_budget`` on the
 -10 dB draw. SSIM is timed against the reference array and against a
 prebuilt ``metrics.Reference``; SSIM's window means
@@ -105,7 +107,7 @@ def _layers(package: str = "semimo"):
     import numpy as np
 
     modules = ("channel", "config", "images", "inference", "link", "metrics",
-               "precoding", "transceiver")
+               "precoding", "sweeps", "transceiver")
     lib = {name: importlib.import_module(f"{package}.{name}") for name in modules}
     SeedSpec, complex_gaussian = lib["channel"].SeedSpec, lib["channel"].complex_gaussian
     box_mean, metrics = lib["images"].box_mean, lib["metrics"]
@@ -130,6 +132,18 @@ def _layers(package: str = "semimo"):
         {"scheme": "mf", **size, "err_var": err_var, "snr_db": cfg.fixed_snr_db},
         lambda: lib["link"].link_budget(channel, f, tx_power, cfg.noise_var),
     )]
+    sweeps, cell_source = lib["sweeps"], lib["sweeps"].load_source(cfg)
+    # The cell's source, reference, operator and external metric, as _run_grid builds them.
+    cell_inputs = (cell_source, metrics.Reference(cell_source.to_image()),
+                   sweeps.load_operator(cfg, cell_source), None)
+    for case, var, tag in (("snr", 0.0, ""), ("csi", err_var, ",-10dB")):
+        layers.append((
+            f"sweeps._simulate_cell[{case},mf,{cfg.fixed_snr_db:g}dB{tag}]",
+            {"scheme": "mf", **size, "err_var": var, "snr_db": cfg.fixed_snr_db,
+             "n_channel_trials": cfg.n_channel_trials, "n_error_draws": cfg.n_error_draws},
+            lambda case=case, var=var: sweeps._simulate_cell(
+                cfg, case, lib["precoding"].Scheme.MF, cfg.fixed_snr_db, var, *cell_inputs),
+        ))
     for tag, var in (("perfect", 0.0), ("-10dB", err_var)):
         layers.append((
             f"channel.draw_channel_set[{cfg.n_tx}x{cfg.n_users},{tag}]",

@@ -79,10 +79,10 @@ def link_budget(
     over the error is already folded in as the p*err_var and p*(K-1)*err_var
     terms.
     """
-    if tx_power <= 0:
-        raise ValueError(f"tx_power must be > 0, got {tx_power}")
-    if noise_var <= 0:
-        raise ValueError(f"noise_var must be > 0, got {noise_var}")
+    if not 0 < tx_power < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tx_power must be finite and > 0, got {tx_power}")
+    if not 0 < noise_var < np.inf:
+        raise ValueError(f"noise_var must be finite and > 0, got {noise_var}")
     h = channel.h_known
     if f.shape != h.shape:
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
@@ -131,6 +131,8 @@ def empirical_link_budget(
     and standard errors are taken of the unscaled gains and then multiplied
     by ``p``, so their squares stay finite at any finite ``p``.
     """
+    if not 0 < tx_power < np.inf:
+        raise ValueError(f"tx_power must be finite and > 0, got {tx_power}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if channel.err_var > 0 and n_trials < 2:

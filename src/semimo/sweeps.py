@@ -153,102 +153,80 @@ def score_frame(
 
 
 def _simulate_cell(
-    cfg: ExperimentConfig,
-    case: str,
-    scheme: Scheme,
-    snr_db: float,
-    err_var: float,
-    source,
-    reference,
-    operator,
-    external,
+    cfg: ExperimentConfig, case: str, scheme: Scheme, snr_db: float, err_var: float,
+    source, reference, operator, external,
 ) -> list[dict]:
     """Simulate one (scheme, SNR, err_var) cell; one output row per recon.
 
     ``reference`` is the metrics.Reference of ``source``'s image. A CSI cell
-    also runs the Monte-Carlo interference oracle.
+    also runs the Monte-Carlo interference oracle. Each per-trial value is
+    added to its column's sum in trial order (the CSV's bytes depend on this
+    order) and divided by the trial count once.
     """
-    with_error_oracle = case == "csi"
+    trials = cfg.n_channel_trials
     entropy = cell_entropy(cfg.master_seed, scheme, snr_db, err_var)
-
-    gamma_sum = 0.0
-    ber_analytic_sum = 0.0
-    i_precode_sum = 0.0
-    distortion_sum = 0.0
-    bit_errors = 0
-    bits_total = 0
-    oracle_interference = 0.0
+    sums: dict[str, float] = {}
     oracle_se: list[float] = []
-    reports = {"identity": [], "operator": []}
-
-    for trial in range(cfg.n_channel_trials):
+    bit_errors = bits_total = 0
+    reports: dict[str, list[MetricReport]] = {}
+    for trial in range(trials):
         result = run_trial(
             cfg, scheme, snr_db, err_var, source, SeedSpec(entropy, trial),
             [SeedSpec(entropy, trial * cfg.n_frames + f) for f in range(cfg.n_frames)],
-            SeedSpec(entropy ^ 0x5EED, trial) if with_error_oracle else None,
+            SeedSpec(entropy ^ 0x5EED, trial) if case == "csi" else None,
         )
-        gamma_sum += float(result.budget.sinr.mean())
-        ber_analytic_sum += float(result.bers.mean())
-        i_precode_sum += float(result.budget.i_precode.mean())
-        distortion_sum += expected_distortion(result.bers, cfg.n_users)
-        i_error = result.budget.i_error  # the same in every trial
+        values = {
+            "gamma_analytic_mean": result.budget.sinr.mean(),
+            "ber_analytic_mean": result.bers.mean(),
+            "i_precode_mean": result.budget.i_precode.mean(),
+            "exp_distortion": expected_distortion(result.bers, cfg.n_users),
+        }
         if result.oracle is not None:
-            oracle_interference += float(result.oracle.interference.mean())
+            values["i_interference_empirical"] = result.oracle.interference.mean()
             oracle_se.extend(result.oracle.interference_se.tolist())
+        for name, value in values.items():
+            sums[name] = sums.get(name, 0.0) + float(value)
         for frame in result.frames:
             bit_errors += int(frame.bit_errors.sum())
             bits_total += frame.bits_per_stream * cfg.n_users
             scored = score_frame(frame.image(), reference, {"operator": operator}, external)
             for recon, (_, report) in scored.items():
-                reports[recon].append(report)
+                reports.setdefault(recon, []).append(report)
 
-    trials = cfg.n_channel_trials
-    rows = []
-    for recon in ("identity", "operator"):
-        batch = reports[recon]
+    cell = dict(
+        case=case, scheme=scheme.value, snr_db=snr_db, err_var_db=to_db(err_var),
+        trial_count=trials, ber_empirical=bit_errors / bits_total,
+        i_error=result.budget.i_error,  # the same in every trial
+        **{name: total / trials for name, total in sums.items()},
         # Deselected metrics keep their column but leave the cell blank.
-        metric_cells = {
-            name: float(np.mean([getattr(r, name) for r in batch]))
-            if name in cfg.metric_set
-            else ""
-            for name in METRIC_NAMES
-        }
-        row = {
-            "case": case,
-            "scheme": scheme.value,
-            "recon": recon,
-            "snr_db": snr_db,
-            "err_var_db": to_db(err_var),
-            "trial_count": trials,
-            "gamma_analytic_mean": gamma_sum / trials,
-            "ber_analytic_mean": ber_analytic_sum / trials,
-            "ber_empirical": bit_errors / bits_total,
-            "i_precode_mean": i_precode_sum / trials,
-            "i_error": i_error,
-            "exp_distortion": distortion_sum / trials,
-            **metric_cells,
-            "external_metric": (
-                float(np.mean([r.external for r in batch]))
-                if batch[0].external is not None
-                else ""
-            ),
-        }
-        if with_error_oracle:
-            # Oracle columns ride along in the returned table only; the CSV
-            # schema stays fixed.
-            row["i_interference_empirical"] = oracle_interference / trials
-            # hypot scales before squaring, so huge powers keep a finite SE.
-            row["i_interference_empirical_se"] = math.hypot(*oracle_se) / cfg.n_users / trials
-        rows.append(row)
+        **dict.fromkeys(METRIC_NAMES, ""),
+    )
+    if oracle_se:
+        # hypot scales before squaring, so huge powers keep a finite SE.
+        cell["i_interference_empirical_se"] = math.hypot(*oracle_se) / cfg.n_users / trials
+    # The oracle's columns ride in the returned rows only: the CSV schema is fixed.
+    columns = CSV_COLUMNS + [name for name in cell if name not in CSV_COLUMNS]
+    rows = []
+    for recon, batch in reports.items():
+        cell["recon"] = recon
+        for name in cfg.metric_set:
+            cell[name] = float(np.mean([getattr(r, name) for r in batch]))
+        cell["external_metric"] = (
+            float(np.mean([r.external for r in batch])) if batch[0].external is not None else ""
+        )
+        rows.append({name: cell[name] for name in columns})
     return rows
 
 
 def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dict]:
     """Run every (snr, err_var, scheme) cell of a sweep, optionally to CSV.
 
-    Cells run on a pool of ``cfg.workers`` threads, one included; rows always
-    come back in grid order. On a cell failure the rows before it are flushed
-    with an error marker row appended before the exception propagates.
+    At one worker the cells run on the calling thread, so a cell runs under
+    the caller's ``np.errstate`` (numpy keeps it in a context variable, which
+    pool threads do not inherit) and no thread is started. With more workers
+    they run on a pool of ``cfg.workers`` threads. Rows always come back in
+    grid order. On a cell failure the rows before it are flushed with an error
+    marker row appended before the exception propagates.
     """
     source = load_source(cfg)
     # Read-only, so the cells share it under any worker count.
@@ -256,24 +234,18 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
     operator = load_operator(cfg, source)
     external = ExternalMetric(cfg.external_metric) if cfg.external_metric else None
 
-    cells = [
-        (snr_db, err_var, scheme)
-        for (snr_db, err_var) in grid
-        for scheme in Scheme
-    ]
+    cells = [(scheme, snr_db, err_var) for (snr_db, err_var) in grid for scheme in Scheme]
 
     def run(cell):
-        snr_db, err_var, scheme = cell
-        return _simulate_cell(
-            cfg, case, scheme, snr_db, err_var, source, reference, operator, external
-        )
+        return _simulate_cell(cfg, case, *cell, source, reference, operator, external)
 
     rows: list[dict] = []
     try:
-        # map yields in grid order and cancels the cells not yet started
-        # when one raises.
+        # Both maps yield in grid order; the pool's cancels the cells not yet
+        # started when one raises. The pool starts no thread until a cell is
+        # submitted to it.
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for cell_rows in pool.map(run, cells):
+            for cell_rows in (pool.map if cfg.workers > 1 else map)(run, cells):
                 rows.extend(cell_rows)
     except Exception as exc:
         if out_path is not None:

@@ -221,8 +221,8 @@ def transmit_frame(
         raise ValueError(
             f"source has {source.n_streams} streams but channel serves {n_users} users"
         )
-    if tx_power <= 0 or noise_var < 0:
-        raise ValueError("need tx_power > 0 and noise_var >= 0")
+    if not (0 < tx_power < np.inf and 0 <= noise_var < np.inf):  # NaN fails every comparison
+        raise ValueError(f"need finite tx_power > 0 and noise_var >= 0: {tx_power}, {noise_var}")
 
     n_bits = source.width * source.height
     sent = source.planes  # (K, n_bits)

@@ -121,6 +121,14 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             link_budget(ch, mf, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_power_or_noise(self, bad):
+        ch, mf, _ = channel_and_precoders(8, 4, 0.0, 15)
+        with pytest.raises(ValueError, match="tx_power"):
+            link_budget(ch, mf, bad, 1.0)
+        with pytest.raises(ValueError, match="noise_var"):
+            link_budget(ch, mf, 1.0, bad)
+
     def test_zf_dominates_mf_sinr_when_noise_vanishes(self):
         ch, mf, zf = channel_and_precoders(16, 8, 0.0, 16)
         tiny_noise = 1e-9
@@ -163,6 +171,13 @@ class TestEmpiricalBudget:
         np.testing.assert_allclose(
             est.interference, budget.i_precode, rtol=1e-12, atol=1e-12 * budget.p_precode.max()
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("err_var", [0.0, 0.1])
+    def test_rejects_non_finite_or_nonpositive_power(self, bad, err_var):
+        ch, mf, _ = channel_and_precoders(16, 8, err_var, 28)
+        with pytest.raises(ValueError, match="tx_power"):
+            empirical_link_budget(ch, mf, bad, 10, SeedSpec(507))
 
     def test_one_error_draw_is_rejected(self):
         # One draw has no spread to estimate, so it cannot give a standard error.

@@ -93,6 +93,8 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
         assert set(run["layers"]) == {
             "link.empirical_link_budget",
             "link.link_budget[16x8]",
+            "sweeps._simulate_cell[snr,mf,15dB]",
+            "sweeps._simulate_cell[csi,mf,15dB,-10dB]",
             "channel.draw_channel_set[16x8,perfect]",
             "channel.draw_channel_set[16x8,-10dB]",
             "channel.complex_gaussian[10000x16]",

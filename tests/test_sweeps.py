@@ -3,19 +3,22 @@ import dataclasses
 import io
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from semimo.channel import SeedSpec, draw_channel_set
-from semimo.config import ExperimentConfig
+from semimo import sweeps
+from semimo.config import ExperimentConfig, from_db, to_db
 from semimo.inference import SmoothingDenoiser
 from semimo.metrics import METRIC_NAMES, ExternalMetricError, MetricReport, Reference
 from semimo.precoding import Scheme, zf_precoder
 from semimo.sweeps import (
     CSV_COLUMNS,
     cell_entropy,
+    load_operator,
     load_source,
     run_csi_error_sweep,
     run_snr_sweep,
@@ -164,6 +167,83 @@ def test_workers_do_not_change_rows(tmp_path):
     serial = run_snr_sweep(small_config(workers=1))
     threaded = run_snr_sweep(small_config(workers=4))
     assert serial == threaded
+
+
+def test_one_worker_runs_the_cells_on_the_calling_thread(monkeypatch):
+    # At one worker a cell runs under the caller's np.errstate (a context
+    # variable that pool threads do not inherit) and no thread is started.
+    threads = []
+
+    def spy(operator, image):
+        threads.append(threading.current_thread())
+        return apply_operator(operator, image)
+
+    apply_operator = sweeps.apply_operator
+    monkeypatch.setattr(sweeps, "apply_operator", spy)
+    cfg = small_config(snr_grid_db=(10.0,))
+    run_snr_sweep(cfg)
+    assert len(threads) == 2 and all(t is threading.main_thread() for t in threads)
+    threads.clear()
+    run_snr_sweep(dataclasses.replace(cfg, workers=2))
+    assert len(threads) == 2 and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("case", ["snr", "csi"])
+def test_cell_rows_are_running_sums_in_trial_order(case):
+    # Nine trials: from eight terms on numpy's pairwise sum differs from a
+    # running sum, so a cell that averaged with np.mean would fail here.
+    trials, n_frames, snr_db = 9, 2, 10.0
+    cfg = small_config(
+        n_channel_trials=trials, n_frames=n_frames, snr_grid_db=(snr_db,),
+        fixed_snr_db=snr_db, err_var_grid_db=(-10.0,), n_error_draws=50,
+    )
+    err_var = 0.0 if case == "snr" else from_db(-10.0)
+    sweep = run_snr_sweep if case == "snr" else run_csi_error_sweep
+    rows = [row for row in sweep(cfg) if row["scheme"] == "mf"]
+
+    source = load_source(cfg)
+    reference = Reference(source.to_image())
+    operators = {"operator": load_operator(cfg, source)}
+    entropy = cell_entropy(cfg.master_seed, Scheme.MF, snr_db, err_var)
+    gamma = ber = i_precode = distortion = interference = 0.0
+    bit_errors = bits = 0
+    se = []
+    reports = {"identity": [], "operator": []}
+    for t in range(trials):
+        trial = run_trial(
+            cfg, Scheme.MF, snr_db, err_var, source, SeedSpec(entropy, t),
+            [SeedSpec(entropy, t * n_frames + f) for f in range(n_frames)],
+            SeedSpec(entropy ^ 0x5EED, t) if case == "csi" else None,
+        )
+        gamma += float(trial.budget.sinr.mean())
+        ber += float(trial.bers.mean())
+        i_precode += float(trial.budget.i_precode.mean())
+        distortion += sweeps.expected_distortion(trial.bers, cfg.n_users)
+        if case == "csi":
+            interference += float(trial.oracle.interference.mean())
+            se.extend(trial.oracle.interference_se.tolist())
+        for frame in trial.frames:
+            bit_errors += int(frame.bit_errors.sum())
+            bits += frame.bits_per_stream * cfg.n_users
+            for recon, (_, report) in score_frame(frame.image(), reference, operators).items():
+                reports[recon].append(report)
+
+    expected = []
+    for recon, batch in reports.items():
+        row = {
+            "case": case, "scheme": "mf", "recon": recon, "snr_db": snr_db,
+            "err_var_db": to_db(err_var), "trial_count": trials,
+            "gamma_analytic_mean": gamma / trials, "ber_analytic_mean": ber / trials,
+            "ber_empirical": bit_errors / bits, "i_precode_mean": i_precode / trials,
+            "i_error": trial.budget.i_error, "exp_distortion": distortion / trials,
+            **{name: float(np.mean([getattr(r, name) for r in batch])) for name in METRIC_NAMES},
+            "external_metric": "",
+        }
+        if case == "csi":
+            row["i_interference_empirical"] = interference / trials
+            row["i_interference_empirical_se"] = math.hypot(*se) / cfg.n_users / trials
+        expected.append(row)
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
 
 
 def test_csi_rows_independent_of_workers_and_grid():

@@ -352,3 +352,13 @@ class TestTransmitFrame:
                 small, other, mf_precoder(other.h_known), 1.0, 1.0,
                 QamConstellation.square(4), SeedSpec(0),
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_power_or_noise(self, bad):
+        # A NaN power used to give per-stream BERs above 0.5 without an error.
+        channel, source, _ = make_frame_setup(size=8)
+        f, qpsk = mf_precoder(channel.h_known), QamConstellation.square(4)
+        with pytest.raises(ValueError, match="tx_power"):
+            transmit_frame(source, channel, f, bad, 1.0, qpsk, SeedSpec(0))
+        with pytest.raises(ValueError, match="noise_var"):
+            transmit_frame(source, channel, f, 1.0, bad, qpsk, SeedSpec(0))
