@@ -8,11 +8,15 @@ Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
 times that checkout's code. BLAS is held to one thread. Each sample runs the
 call in a loop that lasts at least 1 ms (the ``timeit.Timer.autorange``
-idea) and records the time per call; the rounds visit every layer in turn,
-so a spell of host contention falls on all of them. Each layer gets the
-median, the interquartile range and the count of its SAMPLES samples. The
+idea) and records the time per call and the minor page faults per call
+(the ``getrusage`` ``ru_minflt`` delta of this process over the sample,
+divided by the calls in it); the rounds visit every layer in turn, so a
+spell of host contention falls on all of them. Each layer gets the median,
+the interquartile range and the count of its SAMPLES samples, and the
+median and IQR of its faults per call (``minflt_per_call``). The
 run is stored under ``runs[label]`` with the host block and the git sha;
-other labels already in the file are kept. ``sweeps._simulate_cell`` is
+other labels already in the file are kept. ``empirical_link_budget`` is
+timed for MF and for ZF on the -10 dB draw. ``sweeps._simulate_cell`` is
 timed on the default config for MF at the fixed SNR, as an SNR cell (perfect
 CSI) and as a CSI cell at -10 dB. ``draw_channel_set`` is timed at
 the default size with perfect CSI and at -10 dB, and ``link_budget`` on the
@@ -25,8 +29,9 @@ it (size 3, nearest).
 package, ``semimo_against``, builds the same layers from it and times the two
 side by side: in each round every layer takes one sample from each, in an
 order that alternates from round to round, so host drift falls on both
-alike. Each layer then also records the other checkout's median and IQR, and
-the median and IQR of the per-round ratio (this checkout / the other).
+alike. Each layer then also records the other checkout's median and IQR of
+the time and of the faults per call, and the median and IQR of the per-round
+time ratio (this checkout / the other).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import importlib
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -68,16 +74,20 @@ def _loops_for(call) -> int:
     while True:
         for factor in (1, 2, 5):
             count = loops * factor
-            if min(_sample(call, count) for _ in range(2)) * count >= MIN_SAMPLE_S:
+            if min(_sample(call, count)[0] for _ in range(2)) * count >= MIN_SAMPLE_S:
                 return count
         loops *= 10
 
 
-def _sample(call, loops: int) -> float:
+def _sample(call, loops: int) -> tuple[float, float]:
+    """Seconds and minor page faults per call, over ``loops`` calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     for _ in range(loops):
         call()
-    return (time.perf_counter() - start) / loops
+    elapsed = time.perf_counter() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return elapsed / loops, faults / loops
 
 
 def _load_against(checkout: Path) -> str:
@@ -121,17 +131,22 @@ def _layers(package: str = "semimo"):
     f = lib["precoding"].mf_precoder(channel.h_known)
     tx_power = cfg.tx_power(cfg.fixed_snr_db)
     size = {"n_tx": cfg.n_tx, "n_users": cfg.n_users}
-    layers = [(
-        "link.empirical_link_budget",
-        {"scheme": "mf", **size, "err_var": err_var,
-         "n_trials": cfg.n_error_draws, "snr_db": cfg.fixed_snr_db},
-        lambda: lib["link"].empirical_link_budget(
-            channel, f, tx_power, cfg.n_error_draws, SeedSpec(1)),
-    ), (
+    layers = []
+    # The MF layer keeps its unsuffixed name, so earlier BENCH files compare.
+    for scheme, suffix, pre in (("mf", "", f),
+                                ("zf", "[zf]", lib["precoding"].zf_precoder(channel.h_known))):
+        layers.append((
+            f"link.empirical_link_budget{suffix}",
+            {"scheme": scheme, **size, "err_var": err_var,
+             "n_trials": cfg.n_error_draws, "snr_db": cfg.fixed_snr_db},
+            lambda pre=pre: lib["link"].empirical_link_budget(
+                channel, pre, tx_power, cfg.n_error_draws, SeedSpec(1)),
+        ))
+    layers.append((
         f"link.link_budget[{cfg.n_tx}x{cfg.n_users}]",
         {"scheme": "mf", **size, "err_var": err_var, "snr_db": cfg.fixed_snr_db},
         lambda: lib["link"].link_budget(channel, f, tx_power, cfg.noise_var),
-    )]
+    ))
     sweeps, cell_source = lib["sweeps"], lib["sweeps"].load_source(cfg)
     # The cell's source, reference, operator and external metric, as _run_grid builds them.
     cell_inputs = (cell_source, metrics.Reference(cell_source.to_image()),
@@ -247,15 +262,23 @@ def run(against: Path | None = None) -> dict:
                 record.append(_sample(side, count))
     results = {}
     for (name, arguments, _), count, (taken, taken_other) in zip(layers, loops, times):
-        median, iqr = _spread(taken, 1e3)
+        seconds, faults = zip(*taken)
+        median, iqr = _spread(seconds, 1e3)
+        fault_median, fault_iqr = _spread(faults)
         results[name] = {
             "unit": "ms", "median": median, "iqr": iqr, "n": len(taken),
             "calls_per_sample": count, "args": arguments,
+            "minflt_per_call": {"median": fault_median, "iqr": fault_iqr},
         }
         if taken_other:
-            other_median, other_iqr = _spread(taken_other, 1e3)
-            ratio, ratio_iqr = _spread([a / b for a, b in zip(taken, taken_other)])
-            results[name]["against"] = {"median": other_median, "iqr": other_iqr}
+            seconds_other, faults_other = zip(*taken_other)
+            other_median, other_iqr = _spread(seconds_other, 1e3)
+            fault_median, fault_iqr = _spread(faults_other)
+            ratio, ratio_iqr = _spread([a / b for a, b in zip(seconds, seconds_other)])
+            results[name]["against"] = {
+                "median": other_median, "iqr": other_iqr,
+                "minflt_per_call": {"median": fault_median, "iqr": fault_iqr},
+            }
             results[name]["ratio"] = {"median": ratio, "iqr": ratio_iqr}
     host = perfbench.host_block()
     record = {

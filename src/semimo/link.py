@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, SeedSpec, complex_gaussian
+from .channel import ChannelSet, SeedSpec
 
 __all__ = [
     "QamParams",
@@ -120,11 +120,24 @@ def empirical_link_budget(
 ) -> EmpiricalBudget:
     """Monte-Carlo oracle for link_budget: redraw the CSI error, average powers.
 
-    User k draws an ``(n_trials, n_tx)`` error block from ``seed.rng()``, one
-    user after another. Since |h_k(t)^H f_j| = |f_j^H h_k(t)|, each draw is
-    mapped through conj(F), ``rows = err @ F* + h_k^T F*``, so no
-    ``(n_trials, n_tx)`` channel sum or conjugate is built, and the gains are
-    ``re**2 + im**2`` of those rows. With perfect CSI nothing is drawn:
+    Since |h_k(t)^H f_j| = |f_j^H h_k(t)|, trial t of user k maps its error
+    e_t through conj(F): ``rows[t] = h_k^T F* + e_t^T F*``, and the gains are
+    ``re**2 + im**2`` of those rows. Only the K-dimensional image e_t^T F*
+    reaches the gains, so that image is what is drawn. Write F* = Q R with Q
+    an ``(n_tx, K)`` matrix of orthonormal columns and R upper triangular
+    (``np.linalg.qr``). Householder QR gives such a Q for any F, a
+    rank-deficient one included, where R is singular but F* = Q R still
+    holds. For e_t ~ CN(0, err_var I) the vector e_t^T Q is CN(0, err_var I_K)
+    (a circular Gaussian is invariant under a unitary map, and the columns
+    of Q are orthonormal), so e_t^T F* has the distribution of w_t^T R with
+    w_t ~ CN(0, err_var I_K): the same distribution as the n_tx-dimensional
+    draw, from half the normals when n_tx = 2K.
+
+    Draw layout: one ``seed.rng()``; for each user k in turn,
+    ``standard_normal`` fills an ``(n_trials, K)`` complex buffer in place,
+    real and imaginary parts interleaved, and ``rows = z @ (R sqrt(err_var /
+    2)) + h_k^T F*``. The buffers belong to the call, so concurrent calls
+    share nothing. With perfect CSI nothing is drawn and no buffer is built:
     every trial would repeat the known channel's gains, so one row of them
     gives the means and the standard errors are exactly 0. With a CSI error,
     ``n_trials`` must be >= 2 for the draws to give a standard error. Means
@@ -140,32 +153,41 @@ def empirical_link_budget(
     h = channel.h_known
     if f.shape != h.shape:
         raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
-    n_tx, n_users = h.shape
-    rng = seed.rng()
+    n_users = h.shape[1]
     f_conj = f.conj()
 
     desired = np.empty(n_users)
     interference = np.empty(n_users)
     desired_se = np.empty(n_users)
     interference_se = np.empty(n_users)
-    for k in range(n_users):
-        if channel.err_var == 0:
+    if channel.err_var == 0:
+        for k in range(n_users):
             # Every trial repeats these gains: exact means, zero spread.
             gains = np.abs(h[:, k].conj() @ f) ** 2
             desired[k] = gains[k]
             interference[k] = gains.sum() - gains[k]
             desired_se[k] = interference_se[k] = 0.0
-            continue
-        # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + err[t]
-        rows = complex_gaussian(rng, (n_trials, n_tx), channel.err_var) @ f_conj
-        rows += h[:, k] @ f_conj
-        gains = rows.real**2 + rows.imag**2
-        des = gains[:, k]
-        intf = gains.sum(axis=1) - des
-        desired[k] = des.mean()
-        interference[k] = intf.mean()
-        desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials)
-        interference_se[k] = intf.std(ddof=1) / np.sqrt(n_trials)
+    else:
+        rng = seed.rng()
+        r = np.linalg.qr(f_conj, mode="r") * np.sqrt(channel.err_var / 2.0)
+        z = np.empty((n_trials, n_users), np.complex128)
+        rows = np.empty_like(z)
+        gains = np.empty((n_trials, n_users))
+        squares = np.empty_like(gains)
+        for k in range(n_users):
+            # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + e_t
+            rng.standard_normal(out=z.view(np.float64))
+            np.matmul(z, r, out=rows)
+            rows += h[:, k] @ f_conj
+            np.square(rows.real, out=gains)
+            np.square(rows.imag, out=squares)
+            gains += squares
+            des = gains[:, k]
+            intf = gains.sum(axis=1) - des
+            desired[k] = des.mean()
+            interference[k] = intf.mean()
+            desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials)
+            interference_se[k] = intf.std(ddof=1) / np.sqrt(n_trials)
     for estimate in (desired, interference, desired_se, interference_se):
         estimate *= tx_power
     return EmpiricalBudget(desired, interference, desired_se, interference_se, n_trials)
@@ -174,10 +196,10 @@ def empirical_link_budget(
 def ber_from_sinr(sinr, qam: QamParams):
     """Uncoded bit error rate alpha * Q(beta * sqrt(sinr)), clamped to [0, 1].
 
-    Accepts scalars or arrays; rejects negative SINR.
+    Accepts scalars or arrays; rejects negative or NaN SINR.
     """
     gamma = np.asarray(sinr, dtype=float)
-    if np.any(gamma < 0):
+    if not np.all(gamma >= 0):  # NaN fails every comparison; +inf gives BER 0
         raise ValueError("sinr must be >= 0")
     ber = np.clip(qam.alpha * q_function(qam.beta * np.sqrt(gamma)), 0.0, 1.0)
     return float(ber) if np.isscalar(sinr) else ber
@@ -194,7 +216,7 @@ def expected_distortion(bers, n_streams: int | None = None) -> float:
         raise ValueError("bers must be a 1-D array")
     if n_streams is not None and rates.size != n_streams:
         raise ValueError(f"expected {n_streams} per-stream BERs, got {rates.size}")
-    if np.any((rates < 0) | (rates > 1)):
+    if not np.all((rates >= 0) & (rates <= 1)):  # NaN fails every comparison
         raise ValueError("BER values must lie in [0, 1]")
     weights = 2.0 ** np.arange(rates.size)
     return float(weights @ rates)

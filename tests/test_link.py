@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimo.channel import ChannelSet, SeedSpec, complex_gaussian, draw_channel_set
+from semimo.channel import ChannelSet, SeedSpec, draw_channel_set
 from semimo.link import (
     QamParams,
     ber_from_sinr,
@@ -73,6 +73,15 @@ class TestBerFromSinr:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ber_from_sinr(-0.1, QamParams(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, [1.0, np.nan], np.array([[np.nan]])])
+    def test_rejects_nan(self, bad):
+        # NaN used to pass the sign check and come back as a NaN BER.
+        with pytest.raises(ValueError, match="sinr"):
+            ber_from_sinr(bad, QamParams(4))
+
+    def test_infinite_sinr_gives_zero_ber(self):
+        assert ber_from_sinr(np.inf, QamParams(16)) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -204,17 +213,28 @@ class TestEmpiricalBudget:
         )
 
     @pytest.mark.parametrize("err_var", [0.0, 0.1])
-    @pytest.mark.parametrize("which", ["mf", "zf"])
+    @pytest.mark.parametrize("which", ["mf", "zf", "mf_repeated_user"])
     def test_matches_textbook_formula_on_its_own_draws(self, err_var, which):
         ch, mf, zf = channel_and_precoders(16, 8, err_var, 25)
         pre = mf if which == "mf" else zf
+        if which == "mf_repeated_user":
+            # Users 0 and 1 share one channel, so F has rank K - 1.
+            h = ch.h_known.copy()
+            h[:, 1] = h[:, 0]
+            ch, pre = ChannelSet(h, h, err_var), mf_precoder(h)
+            assert np.linalg.matrix_rank(pre) == ch.n_users - 1
         p, n_trials, seed = 3.0, 500, SeedSpec(504, 2)
         est = empirical_link_budget(ch, pre, p, n_trials, seed)
         rng = seed.rng()
+        q, _ = np.linalg.qr(pre.conj())  # conj(F) = Q R, Q with orthonormal columns
         for k in range(ch.n_users):
             h_k = ch.h_known[:, k]
             if err_var > 0:
-                h_k = h_k + complex_gaussian(rng, (n_trials, ch.n_tx), err_var)
+                # Interleaved real/imag normals give w_t ~ CN(0, err_var I_K);
+                # e_t^T = w_t^T Q^H is an error whose image e_t^T conj(F) is w_t^T R.
+                z = rng.standard_normal((n_trials, 2 * ch.n_users)).view(np.complex128)
+                w = np.sqrt(err_var / 2.0) * z
+                h_k = h_k + w @ q.conj().T
             # p |(h_k + e_t)^H f_j|^2 for every draw t and stream j
             powers = p * np.abs(np.atleast_2d(h_k).conj() @ pre) ** 2
             powers = np.broadcast_to(powers, (n_trials, ch.n_users))
@@ -229,6 +249,39 @@ class TestEmpiricalBudget:
             np.testing.assert_allclose(
                 est.interference_se[k], intf.std(ddof=1) * scale, rtol=1e-12, atol=1e-15
             )
+
+    def test_stream_is_pinned(self):
+        """The oracle's outputs at one small case, recorded from its draw layout.
+
+        A change to the draw layout fails here loudly. numpy does not promise
+        that ``Generator.standard_normal`` returns the same values across
+        versions (NEP 19), so on a numpy upgrade that moves them, re-record
+        these values and say so in CHANGES.md.
+        """
+        ch, mf, _ = channel_and_precoders(16, 8, 0.1, 29)
+        est = empirical_link_budget(ch, mf, 1.0, 64, SeedSpec(508, 3))
+        recorded = {
+            "desired_power": [
+                0.8935052206494112, 0.9837099917038661, 0.9284070507709171, 1.1162215763544834,
+                1.2575422491059312, 0.7260170178452079, 1.103602669032965, 1.1349269833988793,
+            ],
+            "interference": [
+                1.1216451940637024, 1.1399728756734027, 0.9860019263775879, 1.333219325450656,
+                1.3026423948933596, 0.9264597902269442, 0.9912630800436735, 0.8388027091945139,
+            ],
+            "desired_se": [
+                0.047417698346267356, 0.051167164672987604, 0.04577537003287831,
+                0.05331291514110983, 0.06861352181345841, 0.042020633794885846,
+                0.04825487723027714, 0.053508907097876826,
+            ],
+            "interference_se": [
+                0.05913591039829028, 0.06633217292019349, 0.04812152812980631,
+                0.07057124506426013, 0.07328149805205891, 0.041970853916572286,
+                0.052187534935380094, 0.040279349459428924,
+            ],
+        }
+        for name, values in recorded.items():
+            np.testing.assert_allclose(getattr(est, name), values, rtol=1e-12, err_msg=name)
 
 
 class TestExpectedDistortion:
@@ -245,6 +298,12 @@ class TestExpectedDistortion:
     def test_range_check(self):
         with pytest.raises(ValueError):
             expected_distortion(np.array([0.2, 1.5]))
+
+    @pytest.mark.parametrize("bad", [[0.1, np.nan], [np.nan], np.array([0.0, np.nan, 0.5])])
+    def test_rejects_nan_rates(self, bad):
+        # A NaN rate used to pass the range check and give a NaN distortion.
+        with pytest.raises(ValueError, match="BER"):
+            expected_distortion(bad)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=8))

@@ -4,6 +4,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -92,6 +94,7 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
         assert run["host"]["cores"] >= 1 and "blas_name" in run["host"]
         assert set(run["layers"]) == {
             "link.empirical_link_budget",
+            "link.empirical_link_budget[zf]",
             "link.link_budget[16x8]",
             "sweeps._simulate_cell[snr,mf,15dB]",
             "sweeps._simulate_cell[csi,mf,15dB,-10dB]",
@@ -131,6 +134,17 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             assert layer["n"] == 3 and layer["median"] > 0 and layer["iqr"] >= 0
             # samples are sized to last about a millisecond or more
             assert layer["median"] * layer["calls_per_sample"] >= 0.5
+            assert layer["minflt_per_call"]["median"] >= 0
+            assert layer["minflt_per_call"]["iqr"] >= 0
+
+
+def test_bench_layers_sample_counts_minor_faults_per_call():
+    bench = load_script("bench_layers")
+    # 64 MB is above glibc's largest mmap threshold, so each call maps and
+    # touches fresh pages.
+    seconds, faults = bench._sample(lambda: np.ones(1 << 23), 2)
+    assert seconds > 0 and faults > 0
+    assert bench._sample(lambda: None, 1000)[1] < 1
 
 
 def test_bench_layers_against_another_checkout(tmp_path, monkeypatch):
@@ -145,6 +159,7 @@ def test_bench_layers_against_another_checkout(tmp_path, monkeypatch):
     assert sys.modules["semimo_against"].metrics is not sys.modules["semimo.metrics"]
     for layer in run["layers"].values():
         assert layer["n"] == 2 and layer["against"]["median"] > 0
+        assert layer["against"]["minflt_per_call"]["median"] >= 0
         assert layer["ratio"]["median"] > 0 and layer["ratio"]["iqr"] >= 0
 
 
