@@ -241,6 +241,15 @@ def _spread(values, scale=1.0) -> tuple[float, float]:
     return median, q3 - q1
 
 
+def _summary(samples) -> dict:
+    """Median and IQR of the times (in ms) and of the faults per call of ``samples``."""
+    seconds, faults = zip(*samples)
+    median, iqr = _spread(seconds, 1e3)
+    fault_median, fault_iqr = _spread(faults)
+    return {"median": median, "iqr": iqr,
+            "minflt_per_call": {"median": fault_median, "iqr": fault_iqr}}
+
+
 def run(against: Path | None = None) -> dict:
     perfbench = _perfbench_run()
     for var in perfbench.BLAS_THREAD_VARS:
@@ -262,23 +271,13 @@ def run(against: Path | None = None) -> dict:
                 record.append(_sample(side, count))
     results = {}
     for (name, arguments, _), count, (taken, taken_other) in zip(layers, loops, times):
-        seconds, faults = zip(*taken)
-        median, iqr = _spread(seconds, 1e3)
-        fault_median, fault_iqr = _spread(faults)
         results[name] = {
-            "unit": "ms", "median": median, "iqr": iqr, "n": len(taken),
+            "unit": "ms", **_summary(taken), "n": len(taken),
             "calls_per_sample": count, "args": arguments,
-            "minflt_per_call": {"median": fault_median, "iqr": fault_iqr},
         }
         if taken_other:
-            seconds_other, faults_other = zip(*taken_other)
-            other_median, other_iqr = _spread(seconds_other, 1e3)
-            fault_median, fault_iqr = _spread(faults_other)
-            ratio, ratio_iqr = _spread([a / b for a, b in zip(seconds, seconds_other)])
-            results[name]["against"] = {
-                "median": other_median, "iqr": other_iqr,
-                "minflt_per_call": {"median": fault_median, "iqr": fault_iqr},
-            }
+            ratio, ratio_iqr = _spread([a[0] / b[0] for a, b in zip(taken, taken_other)])
+            results[name]["against"] = _summary(taken_other)
             results[name]["ratio"] = {"median": ratio, "iqr": ratio_iqr}
     host = perfbench.host_block()
     record = {
