@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, budgets, draws, bit planes, QAM, SSIM and filters per call, into a BENCH JSON.
+"""Time the oracle, budgets, draws, bit planes, QAM, frames, SSIM and filters per call, into a BENCH JSON.
 
     python3 scripts/bench_layers.py --out BENCH_12.json --label change
     python3 scripts/bench_layers.py --out BENCH_12.json --label change --against ../parent
@@ -13,7 +13,11 @@ idea) and records the time per call and the minor page faults per call
 divided by the calls in it); the rounds visit every layer in turn, so a
 spell of host contention falls on all of them. Each layer gets the median,
 the interquartile range and the count of its SAMPLES samples, and the
-median and IQR of its faults per call (``minflt_per_call``). The
+median and IQR of its faults per call (``minflt_per_call``). Faults depend
+on what the heap kept from the layers before, so each layer also makes one
+untimed call under ``tracemalloc``, which sees numpy's data buffers: its
+peak traced bytes above the start (``peak_bytes_per_call``) depend on the
+layer alone. The timed samples run untraced. The
 run is stored under ``runs[label]`` with the host block and the git sha;
 other labels already in the file are kept. ``empirical_link_budget`` is
 timed for MF and for ZF on the -10 dB draw. ``sweeps._simulate_cell`` is
@@ -22,16 +26,22 @@ CSI) and as a CSI cell at -10 dB. ``draw_channel_set`` is timed at
 the default size with perfect CSI and at -10 dB, and ``link_budget`` on the
 -10 dB draw. SSIM is timed against the reference array and against a
 prebuilt ``metrics.Reference``; SSIM's window means
-(``metrics._window_means``) on their own; ``box_mean`` as the denoiser calls
-it (size 3, nearest).
+(``metrics._window_means``) on a whole image in one pass; ``box_mean`` as the
+denoiser calls it (size 3, nearest); ``metric_report`` at 1024² as
+perfbench's ``image_transport`` calls it (an 8-bit test image against the
+reference array). ``transmit_frame`` sends the test image's eight bit planes
+at 128² and 1024² through ZF on a perfect-CSI draw at the default SNR and
+QAM order; these layers also record their throughput in Mbit/s (the planes'
+bits over each sample's time per call, median and IQR).
 
 ``--against <checkout>`` loads that checkout's ``src/semimo`` as a second
 package, ``semimo_against``, builds the same layers from it and times the two
 side by side: in each round every layer takes one sample from each, in an
 order that alternates from round to round, so host drift falls on both
 alike. Each layer then also records the other checkout's median and IQR of
-the time and of the faults per call, and the median and IQR of the per-round
-time ratio (this checkout / the other).
+the time, of the faults per call and of the throughput, its peak traced
+bytes per call, and the median and IQR of the per-round time ratio (this
+checkout / the other).
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -88,6 +99,22 @@ def _sample(call, loops: int) -> tuple[float, float]:
     elapsed = time.perf_counter() - start
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return elapsed / loops, faults / loops
+
+
+def _peak_bytes(call) -> int:
+    """Peak bytes traced over one call of ``call``, above those traced when it starts.
+
+    An untraced call goes first, so what a first call builds and keeps does
+    not count.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def _load_against(checkout: Path) -> str:
@@ -193,6 +220,10 @@ def _layers(package: str = "semimo"):
                 lambda z=received, c=constellation, n=n_bits: qam_demodulate(z, c, n),
             ))
     denoiser = lib["inference"].SmoothingDenoiser(strength=1.0)
+    frame_channel = lib["channel"].draw_channel_set(
+        cfg.n_tx, cfg.n_users, 0.0, SeedSpec(cfg.master_seed))
+    frame_args = (frame_channel, lib["precoding"].zf_precoder(frame_channel.h_known), tx_power,
+                  cfg.noise_var, QamConstellation.square(cfg.qam_order), SeedSpec(cfg.master_seed, 1))
     for size in (128, 512, 1024):
         clean = lib["images"].synthetic_test_image(size, size)
         noisy = np.clip(clean + rng.normal(0, 10, clean.shape), 0, 255).astype(np.uint8)
@@ -207,6 +238,13 @@ def _layers(package: str = "semimo"):
                 f"transceiver.BitPlaneSource.to_image[{size}x{size}]",
                 {"size": size},
                 source.to_image,
+            ))
+            layers.append((
+                f"transceiver.transmit_frame[{size}x{size}]",
+                {"size": size, "scheme": "zf", "n_tx": cfg.n_tx, "n_users": cfg.n_users,
+                 "qam_order": cfg.qam_order, "snr_db": cfg.fixed_snr_db,
+                 "bits": source.planes.size},
+                lambda source=source: transceiver.transmit_frame(source, *frame_args),
             ))
         layers.append((
             f"metrics._window_means[{size}x{size}]",
@@ -225,6 +263,12 @@ def _layers(package: str = "semimo"):
                 {"size": size, "reference": form},
                 lambda ref=reference, test=noisy: metrics.ssim(ref, test),
             ))
+        if size == 1024:
+            layers.append((
+                f"metrics.metric_report[{size}x{size},array]",
+                {"size": size, "reference": "array"},
+                lambda ref=clean, test=noisy: metrics.metric_report(test, ref),
+            ))
         layers.append((
             f"inference.SmoothingDenoiser[{size}x{size}]",
             {"size": size, "strength": denoiser.strength, "kernel": denoiser.size},
@@ -241,13 +285,22 @@ def _spread(values, scale=1.0) -> tuple[float, float]:
     return median, q3 - q1
 
 
-def _summary(samples) -> dict:
-    """Median and IQR of the times (in ms) and of the faults per call of ``samples``."""
+def _summary(samples, peak_bytes: int, bits: int | None) -> dict:
+    """Median and IQR of the times (in ms), faults and Mbit/s per call of ``samples``.
+
+    The throughput is recorded only for a layer that sends ``bits`` per call;
+    ``peak_bytes`` is the layer's traced peak of one call.
+    """
     seconds, faults = zip(*samples)
     median, iqr = _spread(seconds, 1e3)
     fault_median, fault_iqr = _spread(faults)
-    return {"median": median, "iqr": iqr,
-            "minflt_per_call": {"median": fault_median, "iqr": fault_iqr}}
+    summary = {"median": median, "iqr": iqr,
+               "minflt_per_call": {"median": fault_median, "iqr": fault_iqr},
+               "peak_bytes_per_call": peak_bytes}
+    if bits is not None:
+        rate, rate_iqr = _spread([bits / s for s in seconds], 1e-6)
+        summary["mbit_s"] = {"median": rate, "iqr": rate_iqr}
+    return summary
 
 
 def run(against: Path | None = None) -> dict:
@@ -259,6 +312,8 @@ def run(against: Path | None = None) -> dict:
     others = _layers(_load_against(against)) if against is not None else [None] * len(layers)
 
     loops = [_loops_for(call) for *_, call in layers]
+    peaks = [(_peak_bytes(call), None if other is None else _peak_bytes(other[2]))
+             for (*_, call), other in zip(layers, others)]
     times = [([], []) for _ in layers]
     for round_ in range(SAMPLES):
         for (*_, call), other, count, (taken, taken_other) in zip(layers, others, loops, times):
@@ -270,14 +325,16 @@ def run(against: Path | None = None) -> dict:
             for side, record in pair[:: 1 if round_ % 2 == 0 else -1]:
                 record.append(_sample(side, count))
     results = {}
-    for (name, arguments, _), count, (taken, taken_other) in zip(layers, loops, times):
+    for (name, arguments, _), count, (taken, taken_other), (peak, peak_other) in zip(
+            layers, loops, times, peaks):
+        bits = arguments.get("bits")
         results[name] = {
-            "unit": "ms", **_summary(taken), "n": len(taken),
+            "unit": "ms", **_summary(taken, peak, bits), "n": len(taken),
             "calls_per_sample": count, "args": arguments,
         }
         if taken_other:
             ratio, ratio_iqr = _spread([a[0] / b[0] for a, b in zip(taken, taken_other)])
-            results[name]["against"] = _summary(taken_other)
+            results[name]["against"] = _summary(taken_other, peak_other, bits)
             results[name]["ratio"] = {"median": ratio, "iqr": ratio_iqr}
     host = perfbench.host_block()
     record = {

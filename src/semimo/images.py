@@ -14,6 +14,10 @@ __all__ = [
     "window_sums",
 ]
 
+# Input bytes of one strip of window sums (box_mean, SSIM): about a core's L2
+# cache, so 32 rows of a 1024-pixel float image, and one strip at 128².
+_STRIP_BYTES = 1 << 18
+
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) 8-bit PGM file into a 2-D uint8 array."""
@@ -116,17 +120,34 @@ def box_mean(a, size: int) -> np.ndarray:
 
     The box spans ``size // 2`` elements before each one and ``(size - 1) //
     2`` after, on every axis; outside the array the input reads its nearest
-    edge value. The ``window_sums`` of the edge-padded input are divided once
-    by ``size ** ndim``, so on integer-valued input each mean is correctly rounded.
+    edge value. The input is edge-padded once; then each strip of output rows
+    along axis 0 takes the ``window_sums`` of its padded rows, divided once by
+    ``size ** ndim`` into the one output array. The strips change no sum and
+    no order of additions, so on integer-valued input each mean is correctly
+    rounded, and every output has the bytes of one whole-array pass.
     """
     if size < 1:
         raise ValueError(f"box size must be >= 1, got {size}")
     a = np.asarray(a, dtype=float, order="C")  # np.pad keeps a Fortran order
     if a.ndim == 0 or a.size == 0:  # np.pad takes neither
         return a.copy()
-    sums = window_sums(np.pad(a, (size // 2, (size - 1) // 2), mode="edge"), size)
-    sums /= size**a.ndim
-    return sums
+    padded = np.pad(a, (size // 2, (size - 1) // 2), mode="edge")
+    out = np.empty_like(a)
+    for start, stop in _row_strips(len(out), padded[0].nbytes):
+        np.divide(window_sums(padded[start : stop + size - 1], size), size**a.ndim,
+                  out=out[start:stop])
+    return out
+
+
+def _row_strips(n_out_rows: int, row_nbytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of each strip of output rows, in order, covering ``n_out_rows``.
+
+    A strip has ``_STRIP_BYTES // row_nbytes`` rows (at least one), where
+    ``row_nbytes`` is one input row's size: a window sum over a strip then
+    reads its rows from cache. Only the last strip may be shorter.
+    """
+    step = max(_STRIP_BYTES // row_nbytes, 1)
+    return [(start, min(start + step, n_out_rows)) for start in range(0, n_out_rows, step)]
 
 
 def window_sums(a, size: int) -> np.ndarray:
@@ -137,6 +158,10 @@ def window_sums(a, size: int) -> np.ndarray:
     first, each a balanced pairwise sum: at size 8, ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7)).
     Sums of integer values are exact; float error is bounded by the tree depth.
     For size >= 2 the result is a new array, in the input's memory order.
+    Each sum reads only its own window, so the sums over a strip of rows (the
+    strip's output rows plus ``size - 1`` more) are bit for bit those rows of
+    the sums over the whole array: ``box_mean`` and SSIM take them strip by
+    strip, with these additions in this order.
     """
     sums = np.asarray(a, dtype=float)
     for axis in range(sums.ndim):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooks import PgmHook
-from .images import _float_pair, image_distance, window_sums
+from .images import _float_pair, _row_strips, image_distance, window_sums
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -50,8 +50,10 @@ class Reference:
     ``ssim``, ``psnr``, ``mae`` and ``metric_report`` take one wherever they
     take the reference array, and give the same float. ``image`` is the
     reference as float; ``mx`` and ``mxx`` are the SSIM window means of the
-    image and of its square. All three are read-only, so threads may share
-    one Reference.
+    image and of its square, written strip of rows by strip of rows (the
+    strips of ``images.window_sums``: the same sums in the same order, and
+    only a strip's squares at a time). All three are read-only, so threads
+    may share one Reference.
     """
 
     def __init__(self, image):
@@ -61,8 +63,12 @@ class Reference:
         if min(a.shape) < SSIM_WINDOW:
             raise ValueError(f"image {a.shape} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
         self.image = a
-        self.mx = _window_means(a)
-        self.mxx = _window_means(a * a)
+        self.mx = np.empty(tuple(n - SSIM_WINDOW + 1 for n in a.shape))
+        self.mxx = np.empty_like(self.mx)
+        for start, stop in _row_strips(len(self.mx), a[0].nbytes):
+            rows = a[start : stop + SSIM_WINDOW - 1]
+            _window_means(rows, self.mx[start:stop])
+            _window_means(rows * rows, self.mxx[start:stop])
         for arr in (self.image, self.mx, self.mxx):
             arr.flags.writeable = False
 
@@ -85,16 +91,14 @@ def psnr(ref, test) -> float:
     return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
 
 
-def _window_means(a: np.ndarray) -> np.ndarray:
-    """Means over every fully contained SSIM_WINDOW x SSIM_WINDOW patch.
+def _window_means(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Means over every fully contained SSIM_WINDOW x SSIM_WINDOW patch, into ``out`` if given.
 
     ``images.window_sums`` adds each window as ((x0+x1)+(x2+x3))+((x4+x5)+(x6+x7))
     down the rows, then along them, and /64 is exact: exact on integer images,
     depth-bounded error on floats.
     """
-    # Into a new array: dividing in place took 40% more page faults (glibc
-    # heap) and over 10% more time in a 1024² denoise-and-score pass.
-    return window_sums(a, SSIM_WINDOW) / (SSIM_WINDOW * SSIM_WINDOW)
+    return np.divide(window_sums(a, SSIM_WINDOW), SSIM_WINDOW * SSIM_WINDOW, out=out)
 
 
 def ssim(ref, test) -> float:
@@ -104,17 +108,33 @@ def ssim(ref, test) -> float:
     with population (divide-by-n) moments and the pinned SSIM_C1, SSIM_C2.
     Uniform windows rather than Gaussian weighting keep the value exactly
     reproducible, and the window sums are exact on integer images. A ``ref``
-    given as a Reference skips filtering the reference again.
+    given as a Reference skips filtering the reference again. The map of
+    per-window scores is filled strip of rows by strip of rows, with the
+    window sums of ``images.window_sums`` and the formula's steps in one
+    fixed order, so every score has the bytes of one whole-image pass; its
+    mean is taken once, over the whole map.
     """
     ref = ref if isinstance(ref, Reference) else Reference(ref)
     a, b = _float_pair(ref.image, test)
-    mx, mxx = ref.mx, ref.mxx
+    scores = np.empty(ref.mx.shape)
+    for start, stop in _row_strips(len(scores), a[0].nbytes):
+        rows = slice(start, stop + SSIM_WINDOW - 1)
+        _ssim_scores(ref.mx[start:stop], ref.mxx[start:stop], a[rows], b[rows],
+                     scores[start:stop])
+    return float(scores.mean())
+
+
+def _ssim_scores(mx, mxx, a, b, out) -> None:
+    """The SSIM of every window of the image rows ``a`` and ``b``, written into ``out``.
+
+    ``mx`` and ``mxx`` are the reference's window means over the same rows.
+    """
     my = _window_means(b)
     myy = _window_means(b * b)
     mxy = _window_means(a * b)
     # The formula's operations in its own order, on as few new arrays as
     # possible: 2*mx*my is (2*mx)*my, which equals 2*(mx*my) exactly.
-    mx_my = mx * my
+    mx_my = np.multiply(mx, my, out=out)
     den = mx * mx
     vx = mxx - den
     my *= my
@@ -131,7 +151,6 @@ def ssim(ref, test) -> float:
     mxy += SSIM_C2
     mx_my *= mxy
     mx_my /= den
-    return float(mx_my.mean())
 
 
 def mae(ref, test) -> float:

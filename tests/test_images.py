@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.ndimage import uniform_filter
 
+from semimo import images
 from semimo.images import (
+    _row_strips,
     box_mean,
     image_distance,
     read_pgm,
@@ -158,6 +160,57 @@ def test_box_mean_other_layouts_and_ranks():
             assert got.shape == x.shape
             assert np.all(np.abs(got - expected) <= 1e-13 * np.max(np.abs(x), initial=0.0))
             assert got.tobytes() == box_mean(np.array(x, order="C"), size).tobytes()
+
+
+def test_row_strips_cover_the_rows_once_in_order(monkeypatch):
+    # At the default budget a 128-pixel float row fits 256 per strip, so the
+    # sweeps' 121 rows of SSIM windows are one strip; a 1024-pixel row fits 32.
+    assert _row_strips(121, 128 * 8) == [(0, 121)]
+    assert _row_strips(1017, 1024 * 8)[:2] == [(0, 32), (32, 64)]
+    for budget in (1, 100, 1 << 18):
+        monkeypatch.setattr(images, "_STRIP_BYTES", budget)
+        for n_rows in range(1, 70):
+            for row_nbytes in (8, 24, 1000):
+                strips = _row_strips(n_rows, row_nbytes)
+                starts = [start for start, _ in strips]
+                assert starts == list(range(0, n_rows, max(budget // row_nbytes, 1)))
+                assert [stop for _, stop in strips] == starts[1:] + [n_rows]
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_box_mean_strips_give_the_one_strip_bytes(size, monkeypatch):
+    # Strips of one row, and of four rows, against the one strip that the
+    # default budget gives at these sizes. Every height is 1 mod 4, so the
+    # last four-row strip is a single row.
+    rng = np.random.default_rng(200 + size)
+    cases = {
+        "1-D": rng.standard_normal(41) * 100.0,
+        "pixels": rng.integers(0, 256, (37, 29)).astype(np.uint8),
+        "float": rng.uniform(0, 255, (21, 40)),
+        "3-D": rng.integers(-(2**20), 2**20, (13, 6, 5)).astype(float),
+        "fortran": np.asfortranarray(rng.standard_normal((17, 23))),
+    }
+    for kind, x in cases.items():
+        whole = box_mean(x, size)
+        row_nbytes = 8 * math.prod(n + size - 1 for n in x.shape[1:])
+        assert len(_row_strips(len(x), row_nbytes)) == 1, kind
+        for rows in (1, 4):
+            monkeypatch.setattr(images, "_STRIP_BYTES", rows * row_nbytes)
+            strips = _row_strips(len(x), row_nbytes)
+            assert len(strips) > 1 and strips[-1] == (len(x) - 1, len(x)), (kind, rows)
+            got = box_mean(x, size)
+            assert got.flags.c_contiguous, (kind, rows)
+            assert got.tobytes() == whole.tobytes(), (kind, rows)
+        monkeypatch.undo()
+
+
+def test_box_mean_holds_no_image_sized_temporaries(traced_peak):
+    # The design's arrays: the edge-padded copy (about one image) and the
+    # output (one image). A strip's sums take well under one more image; the
+    # sums of the whole padded array would take two.
+    x = np.random.default_rng(3).uniform(0, 255, (1024, 1024))
+    box_mean(x, 3)
+    assert traced_peak(lambda: box_mean(x, 3)) < 3 * x.nbytes
 
 
 def test_window_sums_cover_whole_windows_only():

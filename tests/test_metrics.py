@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
-from semimo.images import image_distance, synthetic_test_image
+from semimo import images
+from semimo.images import _row_strips, image_distance, synthetic_test_image
 from semimo.metrics import (
     PSNR_CAP_DB,
     SSIM_C1,
@@ -247,6 +248,59 @@ class TestReference:
         assert report.external == 0.5
         assert isinstance(seen[0], np.ndarray)
         np.testing.assert_array_equal(seen[0], clean)
+
+
+class TestStrips:
+    # Odd heights and non-square shapes; H - 7 is 2 mod 4, so the last of the
+    # four-row strips is two rows.
+    SHAPES = [(37, 29), (21, 40), (65, 9)]
+
+    @staticmethod
+    def scores(clean, noisy):
+        ref = Reference(clean)
+        return repr((ref.mx.tobytes(), ref.mxx.tobytes(), ssim(clean, noisy), ssim(ref, noisy),
+                     metric_report(noisy, clean), metric_report(noisy, ref)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    def test_strips_give_the_one_strip_bytes(self, shape, dtype, monkeypatch):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        clean = rng.uniform(0, 255, shape)
+        noisy = np.clip(clean + rng.normal(0, 30, shape), 0, 255)
+        if dtype is np.uint8:
+            clean, noisy = clean.astype(np.uint8), noisy.astype(np.uint8)
+        rows, row_nbytes = shape[0] - 7, shape[1] * 8
+        assert len(_row_strips(rows, row_nbytes)) == 1
+        whole = self.scores(clean, noisy)
+        for strip_rows in (1, 4):
+            monkeypatch.setattr(images, "_STRIP_BYTES", strip_rows * row_nbytes)
+            strips = _row_strips(rows, row_nbytes)
+            assert len(strips) > 1 and strips[-1][1] - strips[-1][0] == (rows - 1) % strip_rows + 1
+            assert self.scores(clean, noisy) == whole, strip_rows
+
+    def test_ssim_does_not_depend_on_memory_order(self):
+        # One C-ordered map of scores, whatever the inputs' order, so the
+        # pairwise mean adds them in one order. A map in the Fortran order of
+        # two Fortran-ordered inputs moved the last bit at seeds 2 and 3.
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            clean = rng.uniform(0, 255, (128, 128))
+            noisy = np.clip(clean + rng.normal(0, 20, clean.shape), 0, 255)
+            value = repr(ssim(clean, noisy))
+            for a, b in [(np.asfortranarray(clean), np.asfortranarray(noisy)),
+                         (np.asfortranarray(clean), noisy), (clean, np.asfortranarray(noisy))]:
+                assert repr(ssim(a, b)) == repr(ssim(Reference(a), b)) == value, seed
+
+    def test_ssim_with_a_reference_holds_no_image_sized_temporaries(self, traced_peak):
+        # The design's arrays: the 8-bit test image as float (one image) and
+        # the map of window scores (under one image). A strip's moments take
+        # well under one more; whole-image moments would take five.
+        clean = synthetic_test_image(1024, 1024)
+        noisy = np.clip(clean + np.random.default_rng(4).normal(0, 10, clean.shape), 0, 255)
+        noisy = noisy.astype(np.uint8)
+        ref = Reference(clean)
+        ssim(ref, noisy)
+        assert traced_peak(lambda: ssim(ref, noisy)) < 3 * clean.size * 8
 
 
 @settings(max_examples=15, deadline=None)

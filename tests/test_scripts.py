@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -114,6 +115,8 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "transceiver.split_bit_planes[1024x1024]",
             "transceiver.BitPlaneSource.to_image[128x128]",
             "transceiver.BitPlaneSource.to_image[1024x1024]",
+            "transceiver.transmit_frame[128x128]",
+            "transceiver.transmit_frame[1024x1024]",
             "metrics._window_means[128x128]",
             "images.box_mean[128x128,nearest3]",
             "metrics.ssim[128x128,array]",
@@ -128,6 +131,7 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "images.box_mean[1024x1024,nearest3]",
             "metrics.ssim[1024x1024,array]",
             "metrics.ssim[1024x1024,reference]",
+            "metrics.metric_report[1024x1024,array]",
             "inference.SmoothingDenoiser[1024x1024]",
         }
         for layer in run["layers"].values():
@@ -136,6 +140,16 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             assert layer["median"] * layer["calls_per_sample"] >= 0.5
             assert layer["minflt_per_call"]["median"] >= 0
             assert layer["minflt_per_call"]["iqr"] >= 0
+            assert layer["peak_bytes_per_call"] >= 0
+        # Frames send eight bit planes of one pixel each: 8 * size**2 bits per
+        # call. Of three samples, the median rate is the rate of the median time.
+        for size in (128, 1024):
+            frame = run["layers"][f"transceiver.transmit_frame[{size}x{size}]"]
+            assert frame["args"]["bits"] == 8 * size**2
+            assert frame["mbit_s"]["median"] == pytest.approx(
+                8 * size**2 / frame["median"] / 1e3, rel=1e-9)
+        # A 1024² SSIM against an 8-bit image holds at least that image as float.
+        assert run["layers"]["metrics.ssim[1024x1024,reference]"]["peak_bytes_per_call"] >= 8 << 20
 
 
 def test_bench_layers_sample_counts_minor_faults_per_call():
@@ -145,6 +159,16 @@ def test_bench_layers_sample_counts_minor_faults_per_call():
     seconds, faults = bench._sample(lambda: np.ones(1 << 23), 2)
     assert seconds > 0 and faults > 0
     assert bench._sample(lambda: None, 1000)[1] < 1
+
+
+def test_bench_layers_peak_bytes_count_numpy_buffers_of_one_call():
+    bench = load_script("bench_layers")
+    calls = []
+    peak = bench._peak_bytes(lambda: calls.append(np.ones(1 << 20).sum()))
+    assert len(calls) == 2  # one untraced call, then the traced one
+    assert 8 << 20 <= peak < 9 << 20
+    kept = np.ones(1 << 20)  # traced before the call: not counted
+    assert bench._peak_bytes(lambda: kept.sum()) < 1 << 16
 
 
 def test_bench_layers_against_another_checkout(tmp_path, monkeypatch):
@@ -160,6 +184,8 @@ def test_bench_layers_against_another_checkout(tmp_path, monkeypatch):
     for layer in run["layers"].values():
         assert layer["n"] == 2 and layer["against"]["median"] > 0
         assert layer["against"]["minflt_per_call"]["median"] >= 0
+        assert layer["against"]["peak_bytes_per_call"] >= 0
+        assert ("mbit_s" in layer["against"]) == ("bits" in layer["args"])
         assert layer["ratio"]["median"] > 0 and layer["ratio"]["iqr"] >= 0
 
 
