@@ -207,7 +207,7 @@ def test_box_mean_strips_give_the_one_strip_bytes(size, monkeypatch):
 def test_box_mean_holds_no_image_sized_temporaries(traced_peak):
     # The design's arrays: the edge-padded copy (about one image) and the
     # output (one image). A strip's sums take well under one more image; the
-    # sums of the whole padded array would take two.
+    # sums of the whole padded array held up to two more beside those.
     x = np.random.default_rng(3).uniform(0, 255, (1024, 1024))
     box_mean(x, 3)
     assert traced_peak(lambda: box_mean(x, 3)) < 3 * x.nbytes

@@ -294,7 +294,7 @@ class TestStrips:
     def test_ssim_with_a_reference_holds_no_image_sized_temporaries(self, traced_peak):
         # The design's arrays: the 8-bit test image as float (one image) and
         # the map of window scores (under one image). A strip's moments take
-        # well under one more; whole-image moments would take five.
+        # well under one more; whole-image moments took about five more.
         clean = synthetic_test_image(1024, 1024)
         noisy = np.clip(clean + np.random.default_rng(4).normal(0, 10, clean.shape), 0, 255)
         noisy = noisy.astype(np.uint8)
