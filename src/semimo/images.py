@@ -14,8 +14,10 @@ __all__ = [
     "window_sums",
 ]
 
-# Input bytes of one strip of window sums (box_mean, SSIM): about a core's L2
-# cache, so 32 rows of a 1024-pixel float image, and one strip at 128².
+# Input bytes of one strip of window sums (box_mean, SSIM): 32 rows of a
+# 1024-pixel float image, one strip at 128². The strip's temporaries then fit
+# a core's L2 cache: on a Xeon with 2 MiB of L2 per core, a 1024² SSIM took
+# 42 ms per call at 16 or 32 rows, 45 at 64, 51 at 128 and 61 as one strip.
 _STRIP_BYTES = 1 << 18
 
 
