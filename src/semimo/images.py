@@ -124,10 +124,9 @@ def box_mean(a, size: int) -> np.ndarray:
     2`` after, on every axis; outside the array the input reads its nearest
     edge value. The input is edge-padded once; then each strip of output rows
     along axis 0 takes the ``window_sums`` of its padded rows, divided once by
-    ``size ** ndim`` into the one output array (when one strip covers the
-    array, its sums are the output). The strips change no sum and no order
-    of additions, so on integer-valued input each mean is correctly rounded,
-    and every output has the bytes of one whole-array pass.
+    ``size ** ndim`` into the one output array. The strips change no sum and
+    no order of additions, so on integer-valued input each mean is correctly
+    rounded, and every output has the bytes of one whole-array pass.
     """
     if size < 1:
         raise ValueError(f"box size must be >= 1, got {size}")
@@ -135,16 +134,8 @@ def box_mean(a, size: int) -> np.ndarray:
     if a.ndim == 0 or a.size == 0:  # np.pad takes neither
         return a.copy()
     padded = np.pad(a, (size // 2, (size - 1) // 2), mode="edge")
-    strips = _row_strips(len(a), padded[0].nbytes)
-    if len(strips) == 1:
-        # The one strip's sums become the output: a second array of the
-        # image's size took the default 128² SNR sweep from 37.3k to 40.1k
-        # minor faults (glibc heap).
-        out = window_sums(padded, size)
-        out /= size**a.ndim
-        return out
     out = np.empty_like(a)
-    for start, stop in strips:
+    for start, stop in _row_strips(len(a), padded[0].nbytes):
         np.divide(window_sums(padded[start : stop + size - 1], size), size**a.ndim,
                   out=out[start:stop])
     return out

@@ -65,10 +65,11 @@ class Reference:
         self.image = a
         self.mx = np.empty(tuple(n - SSIM_WINDOW + 1 for n in a.shape))
         self.mxx = np.empty_like(self.mx)
+        n = SSIM_WINDOW * SSIM_WINDOW
         for start, stop in _row_strips(len(self.mx), a[0].nbytes):
             rows = a[start : stop + SSIM_WINDOW - 1]
-            self.mx[start:stop] = _window_means(rows)
-            self.mxx[start:stop] = _window_means(rows * rows)
+            np.divide(window_sums(rows, SSIM_WINDOW), n, out=self.mx[start:stop])
+            np.divide(window_sums(rows * rows, SSIM_WINDOW), n, out=self.mxx[start:stop])
         for arr in (self.image, self.mx, self.mxx):
             arr.flags.writeable = False
 

@@ -163,25 +163,29 @@ def test_box_mean_other_layouts_and_ranks():
 
 
 def test_row_strips_cover_the_rows_once_in_order(monkeypatch):
-    # At the default budget a 128-pixel float row fits 256 per strip, so the
-    # sweeps' 121 rows of SSIM windows are one strip; a 1024-pixel row fits 32.
+    # At the default budget the sweeps' 121 rows of SSIM windows on 128-pixel
+    # float rows are one strip.
     assert _row_strips(121, 128 * 8) == [(0, 121)]
-    assert _row_strips(1017, 1024 * 8)[:2] == [(0, 32), (32, 64)]
     for budget in (1, 100, 1 << 18):
         monkeypatch.setattr(images, "_STRIP_BYTES", budget)
         for n_rows in range(1, 70):
             for row_nbytes in (8, 24, 1000):
                 strips = _row_strips(n_rows, row_nbytes)
-                starts = [start for start, _ in strips]
-                assert starts == list(range(0, n_rows, max(budget // row_nbytes, 1)))
-                assert [stop for _, stop in strips] == starts[1:] + [n_rows]
+                lengths = [stop - start for start, stop in strips]
+                assert strips[0][0] == 0 and strips[-1][1] == n_rows
+                assert all(prev[1] == nxt[0] for prev, nxt in zip(strips, strips[1:]))
+                assert min(lengths) >= 1
+                # Within the budget (one row when a row exceeds it); only the last is shorter.
+                assert max(lengths) <= max(budget // row_nbytes, 1)
+                assert all(length == lengths[0] for length in lengths[:-1])
+                assert lengths[-1] <= lengths[0]
 
 
 @pytest.mark.parametrize("size", range(1, 10))
 def test_box_mean_strips_give_the_one_strip_bytes(size, monkeypatch):
-    # Strips of one row, and of four rows, against the one strip that the
-    # default budget gives at these sizes. Every height is 1 mod 4, so the
-    # last four-row strip is a single row.
+    # The default budget's one strip, strips of one row and strips of four
+    # rows, each against the window sums of the whole padded array divided
+    # once. Every height is 1 mod 4, so the last four-row strip is a single row.
     rng = np.random.default_rng(200 + size)
     cases = {
         "1-D": rng.standard_normal(41) * 100.0,
@@ -191,7 +195,9 @@ def test_box_mean_strips_give_the_one_strip_bytes(size, monkeypatch):
         "fortran": np.asfortranarray(rng.standard_normal((17, 23))),
     }
     for kind, x in cases.items():
-        whole = box_mean(x, size)
+        padded = np.pad(np.asarray(x, dtype=float), (size // 2, (size - 1) // 2), mode="edge")
+        whole = np.ascontiguousarray(window_sums(padded, size) / size**x.ndim)
+        assert box_mean(x, size).tobytes() == whole.tobytes(), kind
         row_nbytes = 8 * math.prod(n + size - 1 for n in x.shape[1:])
         assert len(_row_strips(len(x), row_nbytes)) == 1, kind
         for rows in (1, 4):
@@ -209,7 +215,6 @@ def test_box_mean_holds_no_image_sized_temporaries(traced_peak):
     # output (one image). A strip's sums take well under one more image; the
     # sums of the whole padded array held up to two more beside those.
     x = np.random.default_rng(3).uniform(0, 255, (1024, 1024))
-    box_mean(x, 3)
     assert traced_peak(lambda: box_mean(x, 3)) < 3 * x.nbytes
 
 
