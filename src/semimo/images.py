@@ -74,28 +74,37 @@ def synthetic_test_image(width: int = 128, height: int = 128) -> np.ndarray:
     """Deterministic test card: gradient, a disk, a dark box, texture bands.
 
     Pure arithmetic in the pixel coordinates, so every run and platform sees
-    the same image and the repository ships no dataset.
+    the same image and the repository ships no dataset. The card is painted
+    region by region, each over the last: the horizontal gradient row on
+    every row, the sinusoidal bands on their rows, the bright disk within
+    its bounding rows and columns, then the dark box. Each pixel is rounded
+    once, from the value of the last region that covers it.
     """
     if width < 8 or height < 8:
         raise ValueError("test image must be at least 8x8")
     x = np.linspace(0.0, 1.0, width)[None, :]
     y = np.linspace(0.0, 1.0, height)[:, None]
+    img = np.empty((height, width), dtype=np.uint8)
 
-    img = 32.0 + 180.0 * x + 0.0 * y  # horizontal gradient base
+    img[:] = to_uint8(32.0 + 180.0 * x)  # horizontal gradient base
 
     # Sinusoidal texture bands along the bottom strip.
-    bands = (y >= 0.70) & (y <= 0.92)
-    img = np.where(bands, 128.0 + 96.0 * np.sin(2 * np.pi * (9.0 * x + 4.0 * y)), img)
+    rows = np.flatnonzero((y >= 0.70) & (y <= 0.92))
+    img[rows] = to_uint8(128.0 + 96.0 * np.sin(2 * np.pi * (9.0 * x + 4.0 * y[rows])))
 
-    # Bright disk upper left.
-    disk = (x - 0.30) ** 2 + (y - 0.32) ** 2 <= 0.17**2
-    img = np.where(disk, 235.0, img)
+    # Bright disk upper left: a pixel inside has each squared offset within the radius's.
+    rows = np.flatnonzero((y - 0.32) ** 2 <= 0.17**2)
+    cols = np.flatnonzero((x - 0.30) ** 2 <= 0.17**2)
+    disk = (x[:, cols] - 0.30) ** 2 + (y[rows] - 0.32) ** 2 <= 0.17**2
+    block = np.ix_(rows, cols)
+    img[block] = np.where(disk, 235, img[block])
 
     # Dark rectangle upper right.
-    box = (x >= 0.58) & (x <= 0.88) & (y >= 0.12) & (y <= 0.40)
-    img = np.where(box, 20.0, img)
+    rows = np.flatnonzero((y >= 0.12) & (y <= 0.40))
+    cols = np.flatnonzero((x >= 0.58) & (x <= 0.88))
+    img[np.ix_(rows, cols)] = 20
 
-    return to_uint8(img)
+    return img
 
 
 def image_distance(u, v) -> float:
@@ -104,14 +113,18 @@ def image_distance(u, v) -> float:
     All error levels, bias levels, and contraction thresholds use this norm,
     which keeps them comparable across image resolutions.
     """
-    a, b = _float_pair(u, v)
+    a, b = _image_pair(u, v)
     return float(np.linalg.norm((a - b).ravel() / 255.0))
 
 
-def _float_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Two images as float arrays of one shape; unequal shapes raise ValueError."""
+def _image_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` as a float array and ``v`` as an array in its own dtype, of one shape.
+
+    Unequal shapes raise ValueError. Arithmetic with the float ``u`` reads
+    ``v``'s values as floats, so ``v`` is never copied whole to float here.
+    """
     a = np.asarray(u, dtype=float)
-    b = np.asarray(v, dtype=float)
+    b = np.asarray(v)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
     return a, b

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooks import PgmHook
-from .images import _float_pair, _row_strips, image_distance, window_sums
+from .images import _image_pair, _row_strips, image_distance, window_sums
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -79,17 +79,38 @@ def _plain(ref):
     return ref.image if isinstance(ref, Reference) else ref
 
 
+def _difference(ref, test) -> np.ndarray:
+    """The reference's float image minus ``test`` in its own dtype, as a new C-ordered array.
+
+    C order whatever the inputs' order, so the means taken over it add the
+    same values in the same order for every memory layout.
+    """
+    return np.subtract(*_image_pair(_plain(ref), test), order="C")
+
+
+def _mae_in_place(diff: np.ndarray) -> float:
+    """MAE on the [0, 1] scale from a difference array, which becomes its absolute value."""
+    return float(np.mean(np.abs(diff, out=diff)) / 255.0)
+
+
+def _psnr_in_place(diff: np.ndarray) -> float:
+    """PSNR in dB from a difference (or its absolute value), which becomes its square.
+
+    Identical images would be +inf; they give ``PSNR_CAP_DB`` instead.
+    """
+    mse = float(np.mean(np.square(diff, out=diff)))
+    if mse == 0.0:
+        return PSNR_CAP_DB
+    return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
+
+
 def psnr(ref, test) -> float:
     """Peak signal-to-noise ratio 10*log10(255^2 / MSE) in dB.
 
     Identical images would be +inf; they return ``PSNR_CAP_DB`` instead so
     CSV output stays finite.
     """
-    diff = np.subtract(*_float_pair(_plain(ref), test))
-    mse = float(np.mean(np.square(diff, out=diff)))
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return min(10.0 * np.log10(255.0**2 / mse), PSNR_CAP_DB)
+    return _psnr_in_place(_difference(ref, test))
 
 
 def _window_means(a: np.ndarray) -> np.ndarray:
@@ -116,14 +137,15 @@ def ssim(ref, test) -> float:
     per-window scores is filled strip of rows by strip of rows, with the
     window sums of ``images.window_sums`` and the formula's steps in one
     fixed order, so every score has the bytes of one whole-image pass; its
-    mean is taken once, over the whole map.
+    mean is taken once, over the whole map. The test image is read as floats
+    one strip at a time, so an 8-bit image is never copied whole.
     """
     ref = ref if isinstance(ref, Reference) else Reference(ref)
-    a, b = _float_pair(ref.image, test)
+    a, b = _image_pair(ref.image, test)
     scores = np.empty(ref.mx.shape)
     for start, stop in _row_strips(len(scores), a[0].nbytes):
         rows = slice(start, stop + SSIM_WINDOW - 1)
-        x, y = a[rows], b[rows]
+        x, y = a[rows], np.asarray(b[rows], dtype=float)
         mx, mxx = ref.mx[start:stop], ref.mxx[start:stop]
         my = _window_means(y)
         myy = _window_means(y * y)
@@ -152,8 +174,7 @@ def ssim(ref, test) -> float:
 
 def mae(ref, test) -> float:
     """Mean absolute pixel difference on the [0, 1] intensity scale."""
-    diff = np.subtract(*_float_pair(_plain(ref), test))
-    return float(np.mean(np.abs(diff, out=diff)) / 255.0)
+    return _mae_in_place(_difference(ref, test))
 
 
 def mae_lipschitz(n_pixels: int) -> float:
@@ -194,14 +215,18 @@ def metric_report(test, ref, external: "ExternalMetric | None" = None) -> Metric
     """Score a reconstruction (first argument) against the reference.
 
     ``ref``: an array (made one Reference) or a Reference; ``external`` gets the plain image.
+    MAE and PSNR share one difference array: its absolute value gives the
+    MAE, and squaring that (|d|² has the bytes of d²) the MSE.
     """
     ext = external(test, _plain(ref)) if external is not None else None
     ref = ref if isinstance(ref, Reference) else Reference(ref)
-    test = np.asarray(test, dtype=float)
+    one_minus_ssim = 1.0 - ssim(ref, test)
+    diff = _difference(ref, test)
+    mae_value = _mae_in_place(diff)
     return MetricReport(
-        neg_psnr=-psnr(ref, test),
-        one_minus_ssim=1.0 - ssim(ref, test),
-        mae=mae(ref, test),
+        neg_psnr=-_psnr_in_place(diff),
+        one_minus_ssim=one_minus_ssim,
+        mae=mae_value,
         external=ext,
     )
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, SeedSpec, complex_gaussian
+from .channel import ChannelSet, SeedSpec, _normal_parts
 from .link import square_qam_bits
 
 __all__ = [
@@ -25,6 +25,15 @@ UNDETECTABLE_GAIN = 1e-12
 # Symbols per stream in one pass of transmit_frame; block b draws its noise
 # from seed.rng(b).
 _BLOCK = 1 << 16
+# Bytes of one chunk's complex symbols, all streams together: transmit_frame
+# walks each block in chunks of _CHUNK_BYTES // (16 * n_streams) symbols,
+# 1024 at 8 streams. On a Xeon with 2 MiB of L2 per core, a default SNR sweep
+# (128² frames) took 0.49 s and 0.2k-1.1k minor faults at this budget, 0.54 s
+# and 23k faults at twice it, and 0.54 s and 40k faults as one pass per block;
+# 512² and 1024² frames were 5% faster at twice it and slower at half it.
+_CHUNK_BYTES = 1 << 17
+# Bit b of a pixel byte is stream b's bit.
+_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -35,61 +44,73 @@ def _as_bits(bits) -> np.ndarray:
     return b.astype(np.uint8, copy=False)
 
 
-@dataclass(frozen=True)
+def _stream_bits(pixels: np.ndarray, n_streams: int, out=None) -> np.ndarray:
+    """Row b of the ``(n_streams, len(pixels))`` result is bit b of every byte."""
+    out = np.right_shift(pixels, _SHIFTS[:n_streams], out=out)
+    out &= 1
+    return out
+
+
+def _pixel_bytes(bits: np.ndarray, out=None) -> np.ndarray:
+    """The bytes whose bit b is row b of ``bits`` (0 or 1), for 1 to 8 rows."""
+    return np.bitwise_or.reduce(bits << _SHIFTS[: len(bits)], axis=0, out=out)
+
+
 class BitPlaneSource:
     """An 8-bit grayscale image as weight-ordered binary streams.
 
-    ``planes`` is one read-only ``(n_streams, width*height)`` uint8 array of
-    1 to 8 rows: ``planes[b]`` holds bit b of every pixel in row-major order
-    (b = 0 is the least significant bit, weight 2^b), so recombining with
-    those weights reproduces the pixel array exactly. Any array or sequence
-    of equal-length rows is accepted; it is checked once, here.
+    Stream b is bit b of every pixel in row-major order (b = 0 is the least
+    significant bit, weight 2^b), for 1 to 8 streams. They are stored once,
+    as ``pixels``: one read-only uint8 array of ``width*height`` bytes whose
+    bit b is stream b's bit (the bits above the last stream are 0), so
+    splitting an image and recombining it are byte copies. ``planes`` is the
+    streams as a read-only ``(n_streams, width*height)`` array of 0s and 1s,
+    built when read. The constructor takes any array or sequence of 1 to 8
+    equal-length rows of 0s and 1s; it is checked once, here.
     """
 
-    width: int
-    height: int
-    planes: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.width * self.height
-        planes = np.asarray(self.planes)
+    def __init__(self, width: int, height: int, planes):
+        n = width * height
+        planes = np.asarray(planes)
         if planes.ndim != 2 or planes.shape[1] != n or not 1 <= len(planes) <= 8:
             raise ValueError(
                 f"expected 1 to 8 bit planes of width*height = {n}, got shape {planes.shape}"
             )
-        planes = _as_bits(planes).view()  # a view: the caller's array stays writeable
-        planes.flags.writeable = False
-        object.__setattr__(self, "planes", planes)
+        self._store(width, height, len(planes), _pixel_bytes(_as_bits(planes)))
+
+    @classmethod
+    def _from_pixels(cls, width: int, height: int, n_streams: int, pixels) -> "BitPlaneSource":
+        """A source on ``pixels``, a uint8 array it takes over, without a check."""
+        source = cls.__new__(cls)
+        source._store(width, height, n_streams, pixels)
+        return source
+
+    def _store(self, width: int, height: int, n_streams: int, pixels: np.ndarray) -> None:
+        pixels.flags.writeable = False
+        self.width, self.height, self.n_streams, self.pixels = width, height, n_streams, pixels
 
     @property
-    def n_streams(self) -> int:
-        return len(self.planes)
+    def planes(self) -> np.ndarray:
+        planes = _stream_bits(self.pixels, self.n_streams)
+        planes.flags.writeable = False
+        return planes
 
     def to_image(self) -> np.ndarray:
-        """Recombine the planes back into a height x width uint8 image."""
-        pixels = self.planes[-1].copy()
-        for plane in self.planes[-2::-1]:  # most significant first, in place
-            pixels <<= 1
-            pixels |= plane
-        return pixels.reshape(self.height, self.width)
+        """The pixels as a new height x width uint8 image."""
+        return self.pixels.reshape(self.height, self.width).copy()
 
 
 def split_bit_planes(image) -> BitPlaneSource:
-    """Split an 8-bit grayscale image into its 8 bit planes."""
+    """Split an 8-bit grayscale image into its 8 bit planes (a copy of its bytes)."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale image, got shape {img.shape}")
     if img.dtype != np.uint8:
         if np.any((img < 0) | (img > 255)) or not np.issubdtype(img.dtype, np.integer):
             raise ValueError("image must hold integers in [0, 255]")
-        img = img.astype(np.uint8)
-    flat = img.ravel()
-    planes = np.empty((8, flat.size), dtype=np.uint8)
-    for b, plane in enumerate(planes):
-        np.right_shift(flat, b, out=plane)
-        plane &= 1
     height, width = img.shape
-    return BitPlaneSource(width, height, planes)
+    pixels = np.array(img, dtype=np.uint8, order="C").reshape(-1)
+    return BitPlaneSource._from_pixels(width, height, 8, pixels)
 
 
 @dataclass(frozen=True)
@@ -208,10 +229,19 @@ def transmit_frame(
     per-user effective gain (true gain by default, transmitter-known gain
     when ``equalize_with_known_gain``) and slices to the nearest
     constellation point. All K streams go through in blocks of a fixed
-    number of symbols, each with its own noise substream of ``seed``, so the
-    same seed and the same frame size always give the same result. The noise
-    is drawn at every ``noise_var``: at 0 its entries are ±0, which leave
-    each detected bit as it is.
+    number of symbols, each with its own noise substream of ``seed`` (its real
+    parts, then its imaginary parts, drawn as ``complex_gaussian`` draws
+    them), so the same seed and the same frame size always give the same
+    result. The noise is drawn at every ``noise_var``: at 0 its entries are
+    ±0, which leave each detected bit as it is.
+
+    Each block is sent in cache-sized chunks of symbols: a chunk's bits are
+    read from the source's pixel bytes, modulated, precoded, scaled, given
+    their noise, equalised and detected, and the detected bits are written
+    into the received pixel bytes. Every symbol takes the same operations as
+    in one pass over the block, so no result depends on the chunk size. The
+    call holds one block's normals and the received bytes; nothing else is
+    larger than a chunk.
 
     A user whose effective gain magnitude falls below UNDETECTABLE_GAIN gets
     its plane zeroed and a BER of 0.5 assigned.
@@ -225,28 +255,46 @@ def transmit_frame(
         raise ValueError(f"need finite tx_power > 0 and noise_var >= 0: {tx_power}, {noise_var}")
 
     n_bits = source.width * source.height
-    sent = source.planes  # (K, n_bits)
+    m = constellation.bits_per_symbol
+    n_symbols = -(-n_bits // m)
     amp = np.sqrt(tx_power)
+    scale = np.sqrt(noise_var / 2.0)  # complex_gaussian's scale, multiplied as a complex
     cross = channel.h_true.conj().T @ f  # cross[k, j] = h_k^H f_j
     known = channel.h_known.conj().T @ f if equalize_with_known_gain else cross
     gains = amp * np.diagonal(known)
     undetectable = np.abs(gains) < UNDETECTABLE_GAIN
     gains[undetectable] = 1.0
+    gains = gains[:, None]
 
-    detected = np.empty(sent.shape, dtype=np.uint8)
-    step = _BLOCK * constellation.bits_per_symbol
-    for block, start in enumerate(range(0, n_bits, step)):
-        bits = sent[:, start:start + step]
-        received = cross @ qam_modulate(bits, constellation)
-        received *= amp  # in place: one block-sized array fewer at the peak
-        received += complex_gaussian(seed.rng(block), received.shape, noise_var)
-        received /= gains[:, None]
-        detected[:, start:start + step] = qam_demodulate(received, constellation, bits.shape[1])
+    # The call's buffers: one block's normals, one chunk's sent bits and noise.
+    normals = np.empty(2 * n_users * min(_BLOCK, n_symbols))
+    chunk = max(_CHUNK_BYTES // (16 * n_users), 1)
+    sent = np.empty((n_users, min(chunk, n_symbols) * m), dtype=np.uint8)
+    noise = np.empty((n_users, min(chunk, n_symbols)), dtype=np.complex128)
+    received = np.empty(n_bits, dtype=np.uint8)
+    bit_errors = np.zeros(n_users, dtype=np.intp)
+    for block, first in enumerate(range(0, n_symbols, _BLOCK)):
+        count = min(_BLOCK, n_symbols - first)
+        parts = _normal_parts(seed.rng(block), normals[: 2 * n_users * count].reshape(2, n_users, count))
+        for start in range(0, count, chunk):
+            stop = min(start + chunk, count)
+            lo, hi = (first + start) * m, min((first + stop) * m, n_bits)
+            bits = _stream_bits(source.pixels[lo:hi], n_users, out=sent[:, : hi - lo])
+            z = cross @ qam_modulate(bits, constellation)
+            z *= amp
+            w = noise[:, : stop - start]
+            w.real = parts[0, :, start:stop]
+            w.imag = parts[1, :, start:stop]
+            w *= scale
+            z += w
+            z /= gains
+            detected = qam_demodulate(z, constellation, hi - lo)
+            detected[undetectable] = 0
+            bit_errors += np.count_nonzero(detected != bits, axis=1)
+            _pixel_bytes(detected, out=received[lo:hi])
 
-    detected[undetectable] = 0
-    bit_errors = np.count_nonzero(detected != sent, axis=1)
     bit_errors[undetectable] = (n_bits + 1) // 2
     ber = bit_errors / n_bits
     ber[undetectable] = 0.5
-    out = BitPlaneSource(source.width, source.height, detected)
+    out = BitPlaneSource._from_pixels(source.width, source.height, n_users, received)
     return FrameResult(out, ber, bit_errors, n_bits)

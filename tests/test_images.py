@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -66,6 +67,20 @@ def test_synthetic_image_deterministic():
     # structure in every quadrant.
     assert a.min() < 40 and a.max() > 220
     assert len(np.unique(a)) > 50
+
+
+@pytest.mark.parametrize("size, digest", [
+    ((8, 8), "3c380fb90d03399eb189e0d0335c407f4c31597a5f7816c65ad16902d687ff03"),
+    ((17, 33), "d05f1de1e4817dc25ecadce1de94d93981d2c2cdd164dbbf894ce603b170b1ff"),
+    ((128, 128), "3528a50a3ed18c60fb0ec818ea40ed7290dba7aaba6b70d651ac915356524594"),
+    ((301, 200), "207b0ad5c447048e244987fb25a8075c01820a2994e16e767f9c38aab3965014"),
+    ((1023, 777), "eef8d85412bed09a5586ae1bf8cbdcd14dea2c82d53a24805c1c45ea21eb15c5"),
+    ((1024, 1024), "a0bd1ffb40054397c425effdc14f5ea3bb9fa1a5db2b9868015711c572256d73"),
+], ids=lambda value: "x".join(map(str, value)) if isinstance(value, tuple) else None)
+def test_synthetic_image_keeps_its_bytes(size, digest):
+    # Recorded from the card painted as whole-image float layers, rounded once
+    # at the end; painting it region by region must keep every byte.
+    assert hashlib.sha256(synthetic_test_image(*size).tobytes()).hexdigest() == digest
 
 
 def test_synthetic_image_size_floor():

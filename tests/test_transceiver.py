@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from semimo import transceiver
 from semimo.channel import ChannelSet, SeedSpec, draw_channel_set
+from semimo.images import synthetic_test_image
 from semimo.link import QamParams, ber_from_sinr, link_budget, q_function
 from semimo.precoding import mf_precoder, zf_precoder
 from semimo.transceiver import (
@@ -67,6 +71,35 @@ class TestBitPlanes:
     def test_combine_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             BitPlaneSource(4, 1, [np.zeros(4, np.uint8), np.zeros(5, np.uint8)])
+
+    @pytest.mark.parametrize("n_streams", range(1, 9))
+    def test_streams_round_trip_through_pixel_bytes(self, n_streams):
+        rng = np.random.default_rng(n_streams)
+        planes = rng.integers(0, 2, (n_streams, 35), dtype=np.uint8)
+        src = BitPlaneSource(7, 5, planes)
+        assert src.n_streams == n_streams
+        np.testing.assert_array_equal(src.planes, planes)
+        # Bit b of each pixel byte is stream b's bit; the bits above are 0.
+        pixels = (planes.astype(int) << np.arange(n_streams)[:, None]).sum(axis=0)
+        np.testing.assert_array_equal(src.pixels, pixels)
+        np.testing.assert_array_equal(src.to_image(), pixels.reshape(5, 7))
+        assert not src.pixels.flags.writeable and not src.planes.flags.writeable
+        # The low planes of an image carry its low bits.
+        img = rng.integers(0, 256, (5, 7), dtype=np.uint8)
+        low = BitPlaneSource(7, 5, split_bit_planes(img).planes[:n_streams])
+        np.testing.assert_array_equal(low.to_image(), img & ((1 << n_streams) - 1))
+
+    def test_split_and_to_image_copy_the_bytes(self):
+        img = np.random.default_rng(2).integers(0, 256, (6, 4), dtype=np.uint8)
+        src = split_bit_planes(np.asfortranarray(img))
+        np.testing.assert_array_equal(src.pixels, img.ravel())  # row-major
+        mine = img.copy()
+        src = split_bit_planes(mine)
+        mine[0, 0] ^= 1
+        out = src.to_image()
+        assert out[0, 0] == img[0, 0] and out.flags.writeable
+        out[0, 0] ^= 1
+        assert src.to_image()[0, 0] == img[0, 0]
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -362,3 +395,93 @@ class TestTransmitFrame:
             transmit_frame(source, channel, f, bad, 1.0, qpsk, SeedSpec(0))
         with pytest.raises(ValueError, match="noise_var"):
             transmit_frame(source, channel, f, 1.0, bad, qpsk, SeedSpec(0))
+
+
+# At the larger shapes, one (scheme, err_var, equalize_with_known_gain) per QAM order.
+LARGE_FRAME_CASES = {4: ("mf", 0.05, False), 16: ("zf", 0.05, True), 64: ("zf", 0.0, False)}
+
+
+def frame_cases(height, width):
+    """transmit_frame argument tuples and equaliser flags of the golden digest at one shape.
+
+    Up to 200x301 pixels every combination of QAM order, scheme, CSI error,
+    noise and equaliser; above, LARGE_FRAME_CASES at both noise levels. At
+    33x17 and 512x512, 1 and 3 streams through as many users as well.
+    """
+    img = np.random.default_rng(height * width).integers(0, 256, (height, width), dtype=np.uint8)
+    source = split_bit_planes(img)
+    small = height * width <= 200 * 301
+    for order in (4, 16, 64):
+        constellation = QamConstellation.square(order)
+        for err_var in (0.0, 0.05):
+            channel = draw_channel_set(16, 8, err_var, SeedSpec(order, height))
+            for scheme, build in (("mf", mf_precoder), ("zf", zf_precoder)):
+                f = build(channel.h_known)
+                for noise_var in (0.0, 1.0):
+                    for known in (False, True):
+                        if small or LARGE_FRAME_CASES[order] == (scheme, err_var, known):
+                            seed = SeedSpec(order * 7 + int(noise_var), width)
+                            yield (source, channel, f, 30.0, noise_var, constellation, seed), known
+    if (height, width) in ((33, 17), (512, 512)):
+        for n_streams in (1, 3):
+            channel = draw_channel_set(16, n_streams, 0.05, SeedSpec(n_streams, height))
+            streams = BitPlaneSource(width, height, source.planes[:n_streams])
+            yield (streams, channel, zf_precoder(channel.h_known), 30.0, 1.0,
+                   QamConstellation.square(4), SeedSpec(n_streams, width)), False
+
+
+def frame_digest(height, width) -> str:
+    """sha256 over every golden case's received image, BERs and bit-error counts."""
+    digest = hashlib.sha256()
+    for args, known in frame_cases(height, width):
+        result = transmit_frame(*args, equalize_with_known_gain=known)
+        digest.update(result.image().tobytes() + result.ber.tobytes()
+                      + result.bit_errors.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded from the one-pass-per-block transmit_frame that kept one byte per
+# bit (numpy 2.4.6). The noise comes from Generator.standard_normal, whose
+# values numpy may change between versions (NEP 19): re-record these on such
+# an upgrade, and say so in CHANGES.md.
+GOLDEN_FRAMES = {
+    (8, 8):
+        "074b86592da4c55c90754624287ddace6c589d6b5a265d0774d32e5265f82c44",
+    (33, 17):
+        "12b71a17052dbf095e023dc7eaaee9c98028a634169a00577ddda623ce59f28c",
+    (128, 128):
+        "52f6f1bc3d7a08d6a8e047508afa1015a5e3b8f4eb505c88eb05ef9b27c769b3",
+    (200, 301):
+        "d98b96b7539d309517f6dc480a220fcf8df1597e52cafd949de056bf81ad37e6",
+    (512, 512):
+        "59a5606ae95eaf5962b356c583a990440828ee7aecf978c367dd1d890bb72900",
+    (1024, 1024):
+        "8cff47d2499637c5218482dfdaa65c8dcd86b28f9062ac1fe5b5034312f880cd",
+}
+
+
+class TestFrameGolden:
+    @pytest.mark.parametrize("shape", list(GOLDEN_FRAMES), ids="{0[0]}x{0[1]}".format)
+    def test_frames_keep_their_recorded_bytes(self, shape):
+        assert frame_digest(*shape) == GOLDEN_FRAMES[shape]
+
+    @pytest.mark.parametrize("shape, chunks", [((8, 8), (1, 3)), ((33, 17), (1, 3, 100)),
+                                               ((128, 128), (100, 1000))],
+                             ids=["8x8", "33x17", "128x128"])
+    def test_chunk_size_changes_no_result(self, shape, chunks, monkeypatch):
+        # Chunks of 1 symbol (a one-column matrix product), 3 and 100 (a short
+        # last chunk in every block), 1000 (the 128x128 frame's last chunk short).
+        for symbols in chunks:
+            monkeypatch.setattr(transceiver, "_CHUNK_BYTES", symbols * 16 * 8)
+            assert frame_digest(*shape) == GOLDEN_FRAMES[shape], symbols
+
+    def test_frame_holds_no_block_sized_arrays(self, traced_peak):
+        # One block's normals (8 MiB at 8 streams) and the received bytes (1
+        # MiB), plus chunks. One pass per block traced 32 MiB: complex
+        # symbols, received signal and noise of a whole block, and every bit
+        # detected.
+        img = synthetic_test_image(1024, 1024)
+        channel, *_ = make_frame_setup(size=8)
+        args = (split_bit_planes(img), channel, zf_precoder(channel.h_known), 30.0, 1.0,
+                QamConstellation.square(4), SeedSpec(3))
+        assert traced_peak(lambda: transmit_frame(*args)) <= 16 << 20
