@@ -29,10 +29,13 @@ prebuilt ``metrics.Reference``; SSIM's window means
 (``metrics._window_means``) on a whole image in one pass; ``box_mean`` as the
 denoiser calls it (size 3, nearest); ``metric_report`` at 1024² as
 perfbench's ``image_transport`` calls it (an 8-bit test image against the
-reference array). ``transmit_frame`` sends the test image's eight bit planes
-at 128² and 1024² through ZF on a perfect-CSI draw at the default SNR and
-QAM order; these layers also record their throughput in Mbit/s (the planes'
-bits over each sample's time per call, median and IQR).
+reference array). ``split_bit_planes`` and ``BitPlaneSource.to_image`` at
+128² and 1024² copy the test image's bytes in and out of a source.
+``transmit_frame`` sends the test image's eight bit planes at 128² and 1024²
+through ZF on a perfect-CSI draw at the default SNR and QAM order, chunk by
+chunk from the source's pixel bytes; these layers also record their
+throughput in Mbit/s (the planes' bits over each sample's time per call,
+median and IQR).
 
 ``--against <checkout>`` loads that checkout's ``src/semimo`` as a second
 package, ``semimo_against``, builds the same layers from it and times the two

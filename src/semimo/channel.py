@@ -93,9 +93,10 @@ def _normal_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with the given variance.
 
-    Draw order: ``_normal_parts``. The result is one C-contiguous
-    complex128 array, filled part by part and scaled in place by ``sqrt(var /
-    2)``; its bytes equal ``sqrt(var / 2) * (x + 1j * y)``.
+    Draw order: the real parts, then the imaginary parts (``_normal_parts``).
+    The result is one C-contiguous complex128 array, filled part by part and
+    scaled in place by ``sqrt(var / 2)``; its bytes equal ``sqrt(var / 2) *
+    (x + 1j * y)``.
     """
     x, y = _normal_parts(rng, np.empty((2, *shape)))
     out = np.empty(x.shape, dtype=np.complex128)

@@ -76,18 +76,17 @@ class BitPlaneSource:
             raise ValueError(
                 f"expected 1 to 8 bit planes of width*height = {n}, got shape {planes.shape}"
             )
-        self._store(width, height, len(planes), _pixel_bytes(_as_bits(planes)))
+        self.width, self.height, self.n_streams = width, height, len(planes)
+        self.pixels = _pixel_bytes(_as_bits(planes))
+        self.pixels.flags.writeable = False
 
     @classmethod
     def _from_pixels(cls, width: int, height: int, n_streams: int, pixels) -> "BitPlaneSource":
-        """A source on ``pixels``, a uint8 array it takes over, without a check."""
+        """A source on ``pixels``, a uint8 array it takes over and makes read-only, unchecked."""
         source = cls.__new__(cls)
-        source._store(width, height, n_streams, pixels)
-        return source
-
-    def _store(self, width: int, height: int, n_streams: int, pixels: np.ndarray) -> None:
+        source.width, source.height, source.n_streams, source.pixels = width, height, n_streams, pixels
         pixels.flags.writeable = False
-        self.width, self.height, self.n_streams, self.pixels = width, height, n_streams, pixels
+        return source
 
     @property
     def planes(self) -> np.ndarray:
@@ -266,33 +265,39 @@ def transmit_frame(
     gains[undetectable] = 1.0
     gains = gains[:, None]
 
-    # The call's buffers: one block's normals, one chunk's sent bits and noise.
+    # The call's buffers: one block's normals and one chunk's sent bits.
     normals = np.empty(2 * n_users * min(_BLOCK, n_symbols))
     chunk = max(_CHUNK_BYTES // (16 * n_users), 1)
     sent = np.empty((n_users, min(chunk, n_symbols) * m), dtype=np.uint8)
-    noise = np.empty((n_users, min(chunk, n_symbols)), dtype=np.complex128)
     received = np.empty(n_bits, dtype=np.uint8)
-    bit_errors = np.zeros(n_users, dtype=np.intp)
+    # errors[v]: the pixels whose sent and received bytes differ by XOR v.
+    errors = np.zeros(256, dtype=np.intp)
+    zero_undetectable = bool(undetectable.any())
     for block, first in enumerate(range(0, n_symbols, _BLOCK)):
         count = min(_BLOCK, n_symbols - first)
         parts = _normal_parts(seed.rng(block), normals[: 2 * n_users * count].reshape(2, n_users, count))
         for start in range(0, count, chunk):
             stop = min(start + chunk, count)
             lo, hi = (first + start) * m, min((first + stop) * m, n_bits)
-            bits = _stream_bits(source.pixels[lo:hi], n_users, out=sent[:, : hi - lo])
-            z = cross @ qam_modulate(bits, constellation)
+            sent_bytes = source.pixels[lo:hi]
+            bits = _stream_bits(sent_bytes, n_users, out=sent[:, : hi - lo])
+            symbols = qam_modulate(bits, constellation)
+            z = cross @ symbols
             z *= amp
-            w = noise[:, : stop - start]
-            w.real = parts[0, :, start:stop]
-            w.imag = parts[1, :, start:stop]
-            w *= scale
-            z += w
+            noise = symbols  # precoded, so their array can take the chunk's noise
+            noise.real = parts[0, :, start:stop]
+            noise.imag = parts[1, :, start:stop]
+            noise *= scale
+            z += noise
             z /= gains
             detected = qam_demodulate(z, constellation, hi - lo)
-            detected[undetectable] = 0
-            bit_errors += np.count_nonzero(detected != bits, axis=1)
-            _pixel_bytes(detected, out=received[lo:hi])
+            if zero_undetectable:
+                detected[undetectable] = 0
+            got = _pixel_bytes(detected, out=received[lo:hi])
+            errors += np.bincount(got ^ sent_bytes, minlength=256)
 
+    # Stream b's errors: the pixels whose XOR has bit b set.
+    bit_errors = _stream_bits(np.arange(256, dtype=np.uint8), n_users) @ errors
     bit_errors[undetectable] = (n_bits + 1) // 2
     ber = bit_errors / n_bits
     ber[undetectable] = 0.5
