@@ -220,7 +220,7 @@ def metric_report(test, ref, external: "ExternalMetric | None" = None) -> Metric
     """
     ext = external(test, _plain(ref)) if external is not None else None
     ref = ref if isinstance(ref, Reference) else Reference(ref)
-    one_minus_ssim = 1.0 - ssim(ref, test)
+    one_minus_ssim = 1.0 - ssim(ref, test)  # first: its map is freed before the difference exists
     diff = _difference(ref, test)
     mae_value = _mae_in_place(diff)
     return MetricReport(

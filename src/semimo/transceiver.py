@@ -27,10 +27,12 @@ UNDETECTABLE_GAIN = 1e-12
 _BLOCK = 1 << 16
 # Bytes of one chunk's complex symbols, all streams together: transmit_frame
 # walks each block in chunks of _CHUNK_BYTES // (16 * n_streams) symbols,
-# 1024 at 8 streams. On a Xeon with 2 MiB of L2 per core, a default SNR sweep
-# (128² frames) took 0.49 s and 0.2k-1.1k minor faults at this budget, 0.54 s
-# and 23k faults at twice it, and 0.54 s and 40k faults as one pass per block;
-# 512² and 1024² frames were 5% faster at twice it and slower at half it.
+# 1024 at 8 streams. Ten default SNR sweeps (128² frames) in one process took
+# 1-4 minor faults per sweep at this budget, 10.8k at 160 KiB, 33k at twice
+# it and 40k as one pass per block: above it a frame's heap outgrows glibc's
+# trim threshold and is returned and faulted in again on every frame. On a
+# Xeon with 2 MiB of L2 per core, 512² and 1024² frames were about 5% faster
+# at twice this budget and slower at half it.
 _CHUNK_BYTES = 1 << 17
 # Bit b of a pixel byte is stream b's bit.
 _SHIFTS = np.arange(8, dtype=np.uint8)[:, None]

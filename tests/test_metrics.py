@@ -350,6 +350,19 @@ def test_report_orientation():
     assert perfect.neg_psnr == -PSNR_CAP_DB
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, float])
+def test_report_scores_equal_the_single_scores(dtype):
+    # The report takes MAE and PSNR from one difference, made absolute and then
+    # squared in place; each must equal its own function's float.
+    ref = synthetic_test_image(48, 40)
+    noisy = np.clip(ref + np.random.default_rng(2).normal(0, 12, ref.shape), 0, 255).astype(dtype)
+    for reference in (ref, Reference(ref)):
+        report = metric_report(noisy, reference)
+        assert repr(report.mae) == repr(mae(ref, noisy))
+        assert repr(report.neg_psnr) == repr(-psnr(ref, noisy))
+        assert repr(report.one_minus_ssim) == repr(1.0 - ssim(ref, noisy))
+
+
 class TestExternalMetric:
     def test_runs_command_and_parses_number(self):
         for template in (
