@@ -274,7 +274,6 @@ def transmit_frame(
     received = np.empty(n_bits, dtype=np.uint8)
     # errors[v]: the pixels whose sent and received bytes differ by XOR v.
     errors = np.zeros(256, dtype=np.intp)
-    zero_undetectable = bool(undetectable.any())
     for block, first in enumerate(range(0, n_symbols, _BLOCK)):
         count = min(_BLOCK, n_symbols - first)
         parts = _normal_parts(seed.rng(block), normals[: 2 * n_users * count].reshape(2, n_users, count))
@@ -293,8 +292,7 @@ def transmit_frame(
             z += noise
             z /= gains
             detected = qam_demodulate(z, constellation, hi - lo)
-            if zero_undetectable:
-                detected[undetectable] = 0
+            detected[undetectable] = 0
             got = _pixel_bytes(detected, out=received[lo:hi])
             errors += np.bincount(got ^ sent_bytes, minlength=256)
 

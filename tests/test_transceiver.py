@@ -480,8 +480,7 @@ class TestFrameGolden:
         # MiB), plus chunks. One pass per block traced 32 MiB: complex
         # symbols, received signal and noise of a whole block, and every bit
         # detected.
-        img = synthetic_test_image(1024, 1024)
-        channel, *_ = make_frame_setup(size=8)
-        args = (split_bit_planes(img), channel, zf_precoder(channel.h_known), 30.0, 1.0,
-                QamConstellation.square(4), SeedSpec(3))
+        channel = draw_channel_set(16, 8, 0.0, SeedSpec(3))
+        args = (split_bit_planes(synthetic_test_image(1024, 1024)), channel,
+                zf_precoder(channel.h_known), 30.0, 1.0, QamConstellation.square(4), SeedSpec(3))
         assert traced_peak(lambda: transmit_frame(*args)) <= 16 << 20
