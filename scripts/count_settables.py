@@ -11,7 +11,9 @@ and prints one ``name count`` line each for:
   and ``*``/``**`` parameters (lambdas are not counted);
 - ``defaults``: those of the parameters that have a default;
 - ``dataclass_fields``: the annotated fields of every ``@dataclass`` class;
-- ``config_keys``: the fields of ``ExperimentConfig``, one per config key.
+- ``config_keys``: the fields of ``ExperimentConfig``, one per config key;
+- ``constants``: the targets of module-level assignments whose name is
+  UPPER_CASE, private ones (a leading underscore) included.
 
 Nothing is imported, so the walk counts any checkout, a parent's included.
 """
@@ -36,12 +38,20 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def count(package_dir) -> dict[str, int]:
     counts = dict.fromkeys(
-        ("lines", "parameters", "defaults", "dataclass_fields", "config_keys"), 0
+        ("lines", "parameters", "defaults", "dataclass_fields", "config_keys", "constants"), 0
     )
     for path in sorted(Path(package_dir).glob("*.py")):
         text = path.read_text(encoding="utf-8")
         counts["lines"] += len(text.splitlines())
-        for node in ast.walk(ast.parse(text, filename=str(path))):
+        tree = ast.parse(text, filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                counts["constants"] += sum(
+                    isinstance(name, ast.Name) and name.id.isupper()
+                    for target in targets for name in ast.walk(target)
+                )
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 named = args.posonlyargs + args.args + args.kwonlyargs

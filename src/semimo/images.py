@@ -14,11 +14,17 @@ __all__ = [
     "window_sums",
 ]
 
-# Input bytes of one strip of window sums (box_mean, SSIM): 32 rows of a
-# 1024-pixel float image, one strip at 128². The strip's temporaries then fit
-# a core's L2 cache: on a Xeon with 2 MiB of L2 per core, a 1024² SSIM took
-# 42 ms per call at 16 or 32 rows, 45 at 64, 51 at 128 and 61 as one strip.
-_STRIP_BYTES = 1 << 18
+# Bytes of one piece of each hot loop that _pieces splits: a strip of input
+# rows of window sums (box_mean, SSIM; 16 rows at 1024², one strip at 128²),
+# a frame chunk's complex symbols (1024 symbols at 8 streams), or the oracle's
+# normals and rows (512 trials at 8 users). Ten default SNR sweeps in one
+# process took 1-4 minor faults per sweep with frame chunks of this size,
+# 10.8k at 160 KiB, 33k at twice it and 40k in one pass per frame block: a
+# larger 128² frame outgrows glibc's heap trim threshold and faults its heap
+# in again on every frame. On a Xeon with 2 MiB of L2 per core, 512² and 1024²
+# frames were about 5% faster at twice this budget and slower at half it; a
+# 1024² SSIM took 42 ms in strips of 16 or 32 rows, 51 at 128 and 61 in one.
+_PIECE_BYTES = 1 << 17
 
 
 def read_pgm(path) -> np.ndarray:
@@ -148,21 +154,22 @@ def box_mean(a, size: int) -> np.ndarray:
         return a.copy()
     padded = np.pad(a, (size // 2, (size - 1) // 2), mode="edge")
     out = np.empty_like(a)
-    for start, stop in _row_strips(len(a), padded[0].nbytes):
+    for start, stop in _pieces(len(a), padded[0].nbytes):
         np.divide(window_sums(padded[start : stop + size - 1], size), size**a.ndim,
                   out=out[start:stop])
     return out
 
 
-def _row_strips(n_out_rows: int, row_nbytes: int) -> list[tuple[int, int]]:
-    """(start, stop) of each strip of output rows, in order, covering ``n_out_rows``.
+def _pieces(n_items: int, item_nbytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of each piece of ``n_items`` items, in order, covering them once.
 
-    A strip has ``_STRIP_BYTES // row_nbytes`` rows (at least one), where
-    ``row_nbytes`` is one input row's size: a window sum over a strip then
-    reads its rows from cache. Only the last strip may be shorter.
+    A piece has ``_PIECE_BYTES // item_nbytes`` items (at least one), where
+    ``item_nbytes`` is the bytes one item brings into the loop: an input row
+    of window sums, a symbol of a frame, a trial of the oracle. Only the last
+    piece may be shorter.
     """
-    step = max(_STRIP_BYTES // row_nbytes, 1)
-    return [(start, min(start + step, n_out_rows)) for start in range(0, n_out_rows, step)]
+    step = max(_PIECE_BYTES // item_nbytes, 1)
+    return [(start, min(start + step, n_items)) for start in range(0, n_items, step)]
 
 
 def window_sums(a, size: int) -> np.ndarray:

@@ -126,15 +126,6 @@ def apply_operator(op, image) -> np.ndarray:
     return out
 
 
-def _probe_direction(kind: int, shape, rng: np.random.Generator) -> np.ndarray:
-    if kind == 0:  # white
-        return rng.standard_normal(shape)
-    if kind == 1:  # constant: the worst case for averaging kernels
-        return float(rng.choice((-1.0, 1.0))) * np.ones(shape)
-    # smooth low-frequency field
-    return box_mean(rng.standard_normal(shape), 9)
-
-
 def estimate_rho(
     op,
     probe_images,
@@ -159,7 +150,12 @@ def estimate_rho(
     best = 0.0
     for i in range(n_pairs):
         u = probes[i % len(probes)]
-        direction = _probe_direction(i % 3, u.shape, rng)
+        if i % 3 == 0:  # white
+            direction = rng.standard_normal(u.shape)
+        elif i % 3 == 1:  # constant: the worst case for averaging kernels
+            direction = float(rng.choice((-1.0, 1.0))) * np.ones(u.shape)
+        else:  # smooth low-frequency field
+            direction = box_mean(rng.standard_normal(u.shape), 9)
         denom = np.linalg.norm(direction.ravel()) / 255.0
         if denom == 0.0:
             continue

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, SeedSpec
+from .images import _pieces
 
 __all__ = [
     "QamParams",
@@ -70,6 +71,14 @@ def q_function(x):
     return 0.5 * tail
 
 
+def _check_link(channel: ChannelSet, f: np.ndarray, tx_power: float) -> None:
+    """Reject a ``tx_power`` that is not finite and > 0, or an ``f`` not shaped like the channel."""
+    if not 0 < tx_power < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tx_power must be finite and > 0, got {tx_power}")
+    if f.shape != channel.h_known.shape:
+        raise ValueError(f"precoder shape {f.shape} != channel shape {channel.h_known.shape}")
+
+
 def link_budget(
     channel: ChannelSet, f: np.ndarray, tx_power: float, noise_var: float
 ) -> LinkBudget:
@@ -79,13 +88,10 @@ def link_budget(
     over the error is already folded in as the p*err_var and p*(K-1)*err_var
     terms.
     """
-    if not 0 < tx_power < np.inf:  # NaN fails every comparison
-        raise ValueError(f"tx_power must be finite and > 0, got {tx_power}")
+    _check_link(channel, f, tx_power)
     if not 0 < noise_var < np.inf:
         raise ValueError(f"noise_var must be finite and > 0, got {noise_var}")
     h = channel.h_known
-    if f.shape != h.shape:
-        raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
     cross = np.abs(h.conj().T @ f) ** 2  # cross[k, j] = |h_k^H f_j|^2
     diag = np.diagonal(cross).copy()
     p_precode = tx_power * diag
@@ -133,33 +139,31 @@ def empirical_link_budget(
     w_t ~ CN(0, err_var I_K): the same distribution as the n_tx-dimensional
     draw, from half the normals when n_tx = 2K.
 
-    Draw layout: one ``seed.rng()``; for each user k in turn,
-    ``standard_normal`` fills an ``(n_trials, K)`` complex buffer in place,
-    real and imaginary parts interleaved, and ``rows = z @ (R sqrt(err_var /
-    2)) + h_k^T F*``. The buffers belong to the call, so concurrent calls
-    share nothing. With perfect CSI nothing is drawn and no buffer is built:
-    every trial would repeat the known channel's gains, so one row of them
-    gives the means and the standard errors are exactly 0. With a CSI error,
-    ``n_trials`` must be >= 2 for the draws to give a standard error. Means
-    and standard errors are taken of the unscaled gains and then multiplied
-    by ``p``, so their squares stay finite at any finite ``p``.
+    Draw layout: one ``seed.rng()``; for each user k in turn, its trials in
+    the pieces of ``images._pieces``, each piece's ``standard_normal`` of
+    shape ``(trials, 2K)`` read as complex ``z`` (real and imaginary parts
+    interleaved), and ``rows = z @ (R sqrt(err_var / 2)) + h_k^T F*``. The
+    stream and every output byte are those of one piece of all the trials.
+    Each trial's desired and interference gains go into two arrays of
+    length ``n_trials``; nothing else outlives a piece, and calls share
+    nothing. With perfect CSI nothing is drawn: every trial would repeat the
+    known channel's gains, so one row of them gives the means and the
+    standard errors are exactly 0. With a CSI error, ``n_trials`` must be
+    >= 2 for the draws to give a standard error. Means and standard errors
+    are taken of the unscaled gains and then multiplied by ``p``, so their
+    squares stay finite at any finite ``p``.
     """
-    if not 0 < tx_power < np.inf:
-        raise ValueError(f"tx_power must be finite and > 0, got {tx_power}")
+    _check_link(channel, f, tx_power)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if channel.err_var > 0 and n_trials < 2:
         raise ValueError("n_trials must be >= 2 with a CSI error: one draw has no standard error")
     h = channel.h_known
-    if f.shape != h.shape:
-        raise ValueError(f"precoder shape {f.shape} != channel shape {h.shape}")
     n_users = h.shape[1]
     f_conj = f.conj()
 
-    desired = np.empty(n_users)
-    interference = np.empty(n_users)
-    desired_se = np.empty(n_users)
-    interference_se = np.empty(n_users)
+    estimates = np.empty((4, n_users))
+    desired, interference, desired_se, interference_se = estimates
     if channel.err_var == 0:
         for k in range(n_users):
             # Every trial repeats these gains: exact means, zero spread.
@@ -170,27 +174,25 @@ def empirical_link_budget(
     else:
         rng = seed.rng()
         r = np.linalg.qr(f_conj, mode="r") * np.sqrt(channel.err_var / 2.0)
-        z = np.empty((n_trials, n_users), np.complex128)
-        rows = np.empty_like(z)
-        gains = np.empty((n_trials, n_users))
-        squares = np.empty_like(gains)
+        des, intf = np.empty(n_trials), np.empty(n_trials)  # each trial's gains for user k
         for k in range(n_users):
-            # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + e_t
-            rng.standard_normal(out=z.view(np.float64))
-            np.matmul(z, r, out=rows)
-            rows += h[:, k] @ f_conj
-            np.square(rows.real, out=gains)
-            np.square(rows.imag, out=squares)
-            gains += squares
-            des = gains[:, k]
-            intf = gains.sum(axis=1) - des
+            known = h[:, k] @ f_conj
+            for start, stop in _pieces(n_trials, 32 * n_users):  # complex normals and rows
+                # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + e_t
+                z = rng.standard_normal((stop - start, 2 * n_users)).view(np.complex128)
+                # gemm's rows do not depend on the row count; one row alone
+                # would go through gemv, which rounds otherwise.
+                rows = z @ r if len(z) > 1 else (np.vstack([z, z]) @ r)[:1]
+                rows += known
+                gains = rows.real**2 + rows.imag**2
+                des[start:stop] = gains[:, k]
+                np.subtract(gains.sum(axis=1), gains[:, k], out=intf[start:stop])
             desired[k] = des.mean()
             interference[k] = intf.mean()
             desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials)
             interference_se[k] = intf.std(ddof=1) / np.sqrt(n_trials)
-    for estimate in (desired, interference, desired_se, interference_se):
-        estimate *= tx_power
-    return EmpiricalBudget(desired, interference, desired_se, interference_se, n_trials)
+    estimates *= tx_power
+    return EmpiricalBudget(*estimates, n_trials)
 
 
 def ber_from_sinr(sinr, qam: QamParams):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooks import PgmHook
-from .images import _image_pair, _row_strips, image_distance, window_sums
+from .images import _image_pair, _pieces, image_distance, window_sums
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -66,7 +66,7 @@ class Reference:
         self.mx = np.empty(tuple(n - SSIM_WINDOW + 1 for n in a.shape))
         self.mxx = np.empty_like(self.mx)
         n = SSIM_WINDOW * SSIM_WINDOW
-        for start, stop in _row_strips(len(self.mx), a[0].nbytes):
+        for start, stop in _pieces(len(self.mx), a[0].nbytes):
             rows = a[start : stop + SSIM_WINDOW - 1]
             np.divide(window_sums(rows, SSIM_WINDOW), n, out=self.mx[start:stop])
             np.divide(window_sums(rows * rows, SSIM_WINDOW), n, out=self.mxx[start:stop])
@@ -143,7 +143,7 @@ def ssim(ref, test) -> float:
     ref = ref if isinstance(ref, Reference) else Reference(ref)
     a, b = _image_pair(ref.image, test)
     scores = np.empty(ref.mx.shape)
-    for start, stop in _row_strips(len(scores), a[0].nbytes):
+    for start, stop in _pieces(len(scores), a[0].nbytes):
         rows = slice(start, stop + SSIM_WINDOW - 1)
         x, y = a[rows], np.asarray(b[rows], dtype=float)
         mx, mxx = ref.mx[start:stop], ref.mxx[start:stop]

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, SeedSpec, _normal_parts
-from .link import square_qam_bits
+from .images import _pieces
+from .link import _check_link, square_qam_bits
 
 __all__ = [
     "BitPlaneSource",
@@ -25,15 +26,6 @@ UNDETECTABLE_GAIN = 1e-12
 # Symbols per stream in one pass of transmit_frame; block b draws its noise
 # from seed.rng(b).
 _BLOCK = 1 << 16
-# Bytes of one chunk's complex symbols, all streams together: transmit_frame
-# walks each block in chunks of _CHUNK_BYTES // (16 * n_streams) symbols,
-# 1024 at 8 streams. Ten default SNR sweeps (128² frames) in one process took
-# 1-4 minor faults per sweep at this budget, 10.8k at 160 KiB, 33k at twice
-# it and 40k as one pass per block: above it a frame's heap outgrows glibc's
-# trim threshold and is returned and faulted in again on every frame. On a
-# Xeon with 2 MiB of L2 per core, 512² and 1024² frames were about 5% faster
-# at twice this budget and slower at half it.
-_CHUNK_BYTES = 1 << 17
 # Bit b of a pixel byte is stream b's bit.
 _SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
@@ -236,13 +228,14 @@ def transmit_frame(
     result. The noise is drawn at every ``noise_var``: at 0 its entries are
     ±0, which leave each detected bit as it is.
 
-    Each block is sent in cache-sized chunks of symbols: a chunk's bits are
-    read from the source's pixel bytes, modulated, precoded, scaled, given
-    their noise, equalised and detected, and the detected bits are written
-    into the received pixel bytes. Every symbol takes the same operations as
-    in one pass over the block, so no result depends on the chunk size. The
-    call holds one block's normals and the received bytes; nothing else is
-    larger than a chunk.
+    Each block is sent in chunks of symbols, the pieces ``images._pieces``
+    cuts at 16 bytes per symbol and stream (1024 symbols at 8 streams): a
+    chunk's bits are read from the source's pixel bytes, modulated,
+    precoded, scaled, given their noise, equalised and detected, and the
+    detected bits are written into the received pixel bytes. Every symbol
+    takes the same operations as in one pass over the block, so no result
+    depends on the chunk size. The call holds one block's normals and the
+    received bytes; nothing else is larger than a chunk.
 
     A user whose effective gain magnitude falls below UNDETECTABLE_GAIN gets
     its plane zeroed and a BER of 0.5 assigned.
@@ -252,8 +245,9 @@ def transmit_frame(
         raise ValueError(
             f"source has {source.n_streams} streams but channel serves {n_users} users"
         )
-    if not (0 < tx_power < np.inf and 0 <= noise_var < np.inf):  # NaN fails every comparison
-        raise ValueError(f"need finite tx_power > 0 and noise_var >= 0: {tx_power}, {noise_var}")
+    _check_link(channel, f, tx_power)
+    if not 0 <= noise_var < np.inf:  # NaN fails every comparison
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var}")
 
     n_bits = source.width * source.height
     m = constellation.bits_per_symbol
@@ -267,18 +261,18 @@ def transmit_frame(
     gains[undetectable] = 1.0
     gains = gains[:, None]
 
-    # The call's buffers: one block's normals and one chunk's sent bits.
+    # The call's buffers: one block's normals and, per block, one chunk's sent
+    # bits (a new array per chunk took 9.4k-10.6k minor faults per default sweep).
     normals = np.empty(2 * n_users * min(_BLOCK, n_symbols))
-    chunk = max(_CHUNK_BYTES // (16 * n_users), 1)
-    sent = np.empty((n_users, min(chunk, n_symbols) * m), dtype=np.uint8)
     received = np.empty(n_bits, dtype=np.uint8)
     # errors[v]: the pixels whose sent and received bytes differ by XOR v.
     errors = np.zeros(256, dtype=np.intp)
     for block, first in enumerate(range(0, n_symbols, _BLOCK)):
         count = min(_BLOCK, n_symbols - first)
         parts = _normal_parts(seed.rng(block), normals[: 2 * n_users * count].reshape(2, n_users, count))
-        for start in range(0, count, chunk):
-            stop = min(start + chunk, count)
+        chunks = _pieces(count, 16 * n_users)  # 16 bytes per complex symbol and stream
+        sent = np.empty((n_users, chunks[0][1] * m), dtype=np.uint8)
+        for start, stop in chunks:
             lo, hi = (first + start) * m, min((first + stop) * m, n_bits)
             sent_bytes = source.pixels[lo:hi]
             bits = _stream_bits(sent_bytes, n_users, out=sent[:, : hi - lo])

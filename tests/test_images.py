@@ -7,7 +7,7 @@ from scipy.ndimage import uniform_filter
 
 from semimo import images
 from semimo.images import (
-    _row_strips,
+    _pieces,
     box_mean,
     image_distance,
     read_pgm,
@@ -180,12 +180,12 @@ def test_box_mean_other_layouts_and_ranks():
 def test_row_strips_cover_the_rows_once_in_order(monkeypatch):
     # At the default budget the sweeps' 121 rows of SSIM windows on 128-pixel
     # float rows are one strip.
-    assert _row_strips(121, 128 * 8) == [(0, 121)]
+    assert _pieces(121, 128 * 8) == [(0, 121)]
     for budget in (1, 100, 1 << 18):
-        monkeypatch.setattr(images, "_STRIP_BYTES", budget)
+        monkeypatch.setattr(images, "_PIECE_BYTES", budget)
         for n_rows in range(1, 70):
             for row_nbytes in (8, 24, 1000):
-                strips = _row_strips(n_rows, row_nbytes)
+                strips = _pieces(n_rows, row_nbytes)
                 lengths = [stop - start for start, stop in strips]
                 assert strips[0][0] == 0 and strips[-1][1] == n_rows
                 assert all(prev[1] == nxt[0] for prev, nxt in zip(strips, strips[1:]))
@@ -214,10 +214,10 @@ def test_box_mean_strips_give_the_one_strip_bytes(size, monkeypatch):
         whole = np.ascontiguousarray(window_sums(padded, size) / size**x.ndim)
         assert box_mean(x, size).tobytes() == whole.tobytes(), kind
         row_nbytes = 8 * math.prod(n + size - 1 for n in x.shape[1:])
-        assert len(_row_strips(len(x), row_nbytes)) == 1, kind
+        assert len(_pieces(len(x), row_nbytes)) == 1, kind
         for rows in (1, 4):
-            monkeypatch.setattr(images, "_STRIP_BYTES", rows * row_nbytes)
-            strips = _row_strips(len(x), row_nbytes)
+            monkeypatch.setattr(images, "_PIECE_BYTES", rows * row_nbytes)
+            strips = _pieces(len(x), row_nbytes)
             assert len(strips) > 1 and strips[-1] == (len(x) - 1, len(x)), (kind, rows)
             got = box_mean(x, size)
             assert got.flags.c_contiguous, (kind, rows)

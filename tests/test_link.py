@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimo import images
 from semimo.channel import ChannelSet, SeedSpec, draw_channel_set
 from semimo.link import (
     QamParams,
@@ -282,6 +283,34 @@ class TestEmpiricalBudget:
         }
         for name, values in recorded.items():
             np.testing.assert_allclose(getattr(est, name), values, rtol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("err_var", [0.01, 0.1])
+    @pytest.mark.parametrize("which", ["mf", "zf"])
+    def test_piece_size_changes_no_result(self, err_var, which, monkeypatch):
+        # Pieces of 1 trial (one-row matrix products), 3, and 511 to 513 (at
+        # 10000 trials a short last piece each), against the default pieces
+        # of 512 trials at 8 users.
+        ch, mf, zf = channel_and_precoders(16, 8, err_var, 30)
+        pre = mf if which == "mf" else zf
+
+        def outputs(n_trials):
+            est = empirical_link_budget(ch, pre, 2.0, n_trials, SeedSpec(509, n_trials))
+            return [getattr(est, name).tobytes() for name in
+                    ("desired_power", "interference", "desired_se", "interference_se")]
+
+        for n_trials in (2, 1000, 10_000):
+            default = outputs(n_trials)
+            for trials in (1, 3, 511, 512, 513):
+                monkeypatch.setattr(images, "_PIECE_BYTES", trials * 32 * 8)
+                assert outputs(n_trials) == default, (n_trials, trials)
+            monkeypatch.undo()
+
+    def test_oracle_holds_no_buffers_of_every_trial(self, traced_peak):
+        # Two length-T arrays of gains (156 KiB at T = 10000) and one piece's
+        # temporaries. Complex normals, rows and two gain arrays for every
+        # trial at once traced 3.9 MiB.
+        ch, mf, _ = channel_and_precoders(16, 8, 0.1, 31)
+        assert traced_peak(lambda: empirical_link_budget(ch, mf, 1.0, 10_000, SeedSpec(510))) <= 1 << 20
 
 
 class TestExpectedDistortion:

@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import uniform_filter
 
 from semimo import images
-from semimo.images import _row_strips, image_distance, synthetic_test_image
+from semimo.images import _pieces, image_distance, synthetic_test_image
 from semimo.metrics import (
     PSNR_CAP_DB,
     SSIM_C1,
@@ -270,11 +270,11 @@ class TestStrips:
         if dtype is np.uint8:
             clean, noisy = clean.astype(np.uint8), noisy.astype(np.uint8)
         rows, row_nbytes = shape[0] - 7, shape[1] * 8
-        assert len(_row_strips(rows, row_nbytes)) == 1
+        assert len(_pieces(rows, row_nbytes)) == 1
         whole = self.scores(clean, noisy)
         for strip_rows in (1, 4):
-            monkeypatch.setattr(images, "_STRIP_BYTES", strip_rows * row_nbytes)
-            strips = _row_strips(rows, row_nbytes)
+            monkeypatch.setattr(images, "_PIECE_BYTES", strip_rows * row_nbytes)
+            strips = _pieces(rows, row_nbytes)
             assert len(strips) > 1 and strips[-1][1] - strips[-1][0] == (rows - 1) % strip_rows + 1
             assert self.scores(clean, noisy) == whole, strip_rows
 

@@ -212,14 +212,24 @@ def test_count_settables_on_a_known_module(tmp_path, capsys):
         "    def make(cls, t):\n"
         "        pass\n"
     )
-    (tmp_path / "b.py").write_text("def f(u, /, v, *, w=3):\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "LIMIT = 3\n"
+        "_BUDGET: int = 1 << 17\n"
+        "A, _B2 = C = 1, 2\n"
+        "lower = __all__ = []\n"
+        "def f(u, /, v, *, w=3):\n"
+        "    LOCAL = 1\n"
+        "class K:\n"
+        "    MEMBER = 2\n"
+    )
     (tmp_path / "notes.txt").write_text("def g(x):\n")
     expected = {
-        "lines": 21,
+        "lines": 27,
         "parameters": 8,  # p q r s, t, u v w
         "defaults": 3,  # q s w
         "dataclass_fields": 3,  # x y, seed
         "config_keys": 1,
+        "constants": 5,  # LIMIT, _BUDGET, A _B2 C; not lower, __all__, LOCAL or MEMBER
     }
     assert counter.count(tmp_path) == expected
     assert counter.main([str(tmp_path)]) == 0

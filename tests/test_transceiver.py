@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semimo import transceiver
+from semimo import images
 from semimo.channel import ChannelSet, SeedSpec, draw_channel_set
 from semimo.images import synthetic_test_image
 from semimo.link import QamParams, ber_from_sinr, link_budget, q_function
@@ -396,6 +396,14 @@ class TestTransmitFrame:
         with pytest.raises(ValueError, match="noise_var"):
             transmit_frame(source, channel, f, 1.0, bad, qpsk, SeedSpec(0))
 
+    def test_precoder_shape_mismatch_rejected_before_sending(self):
+        # A (16, 9) precoder on a 16x8 channel used to fail inside the chunk
+        # loop, in numpy's matmul, after the block's noise was drawn.
+        channel, source, _ = make_frame_setup(size=8)
+        f = np.ones((16, 9), dtype=complex)
+        with pytest.raises(ValueError, match=r"\(16, 9\) != channel shape \(16, 8\)"):
+            transmit_frame(source, channel, f, 1.0, 1.0, QamConstellation.square(4), SeedSpec(0))
+
 
 # At the larger shapes, one (scheme, err_var, equalize_with_known_gain) per QAM order.
 LARGE_FRAME_CASES = {4: ("mf", 0.05, False), 16: ("zf", 0.05, True), 64: ("zf", 0.0, False)}
@@ -472,7 +480,7 @@ class TestFrameGolden:
         # Chunks of 1 symbol (a one-column matrix product), 3 and 100 (a short
         # last chunk in every block), 1000 (the 128x128 frame's last chunk short).
         for symbols in chunks:
-            monkeypatch.setattr(transceiver, "_CHUNK_BYTES", symbols * 16 * 8)
+            monkeypatch.setattr(images, "_PIECE_BYTES", symbols * 16 * 8)
             assert frame_digest(*shape) == GOLDEN_FRAMES[shape], symbols
 
     def test_frame_holds_no_block_sized_arrays(self, traced_peak):
