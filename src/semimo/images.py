@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -120,16 +122,16 @@ def image_distance(u, v) -> float:
     which keeps them comparable across image resolutions.
     """
     a, b = _image_pair(u, v)
-    return float(np.linalg.norm((a - b).ravel() / 255.0))
+    return float(np.linalg.norm(np.subtract(a, b, dtype=float).ravel() / 255.0))
 
 
 def _image_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """``u`` as a float array and ``v`` as an array in its own dtype, of one shape.
+    """``u`` and ``v`` as arrays, each in its own dtype, of one shape.
 
-    Unequal shapes raise ValueError. Arithmetic with the float ``u`` reads
-    ``v``'s values as floats, so ``v`` is never copied whole to float here.
+    Unequal shapes raise ValueError. Neither image is copied to float here:
+    arithmetic with ``dtype=float`` reads their values as floats.
     """
-    a = np.asarray(u, dtype=float)
+    a = np.asarray(u)
     b = np.asarray(v)
     if a.shape != b.shape:
         raise ValueError(f"image shapes differ: {a.shape} vs {b.shape}")
@@ -141,22 +143,38 @@ def box_mean(a, size: int) -> np.ndarray:
 
     The box spans ``size // 2`` elements before each one and ``(size - 1) //
     2`` after, on every axis; outside the array the input reads its nearest
-    edge value. The input is edge-padded once; then each strip of output rows
-    along axis 0 takes the ``window_sums`` of its padded rows, divided once by
-    ``size ** ndim`` into the one output array. The strips change no sum and
-    no order of additions, so on integer-valued input each mean is correctly
-    rounded, and every output has the bytes of one whole-array pass.
+    edge value. Each strip of output rows along axis 0 copies its input rows
+    (its output rows plus ``size - 1`` more, as floats) into one strip buffer,
+    reused from strip to strip, and repeats their edge values there axis by
+    axis, so the whole array is never padded. The strip's ``window_sums`` are
+    divided once by ``size ** ndim`` into the one output array. The strips
+    change no sum and no order of additions, so on integer-valued input each
+    mean is correctly rounded, and every output has the bytes of one
+    whole-array pass over the edge-padded input.
     """
     if size < 1:
         raise ValueError(f"box size must be >= 1, got {size}")
-    a = np.asarray(a, dtype=float, order="C")  # np.pad keeps a Fortran order
-    if a.ndim == 0 or a.size == 0:  # np.pad takes neither
-        return a.copy()
-    padded = np.pad(a, (size // 2, (size - 1) // 2), mode="edge")
-    out = np.empty_like(a)
-    for start, stop in _pieces(len(a), padded[0].nbytes):
-        np.divide(window_sums(padded[start : stop + size - 1], size), size**a.ndim,
-                  out=out[start:stop])
+    a = np.asarray(a)
+    if a.ndim == 0 or a.size == 0:  # nothing to pad
+        return np.array(a, dtype=float)
+    before, out = size // 2, np.empty(a.shape)
+    inner = tuple(slice(before, before + n) for n in a.shape[1:])
+    padded_row = tuple(n + size - 1 for n in a.shape[1:])
+    pieces = _pieces(len(a), out.itemsize * math.prod(padded_row))
+    buffer = np.empty((pieces[0][1] + size - 1, *padded_row))
+    for start, stop in pieces:
+        strip = buffer[: stop - start + size - 1]
+        # The input rows the strip reads, and where they land in it.
+        first, last = max(start - before, 0), min(stop + size - 1 - before, len(a))
+        top = first - (start - before)
+        strip[(slice(top, top + last - first), *inner)] = a[first:last]
+        # Past each edge, every slice repeats the edge slice: axis 0, then the rest.
+        edges = [(top, last - first)] + [(before, n) for n in a.shape[1:]]
+        for axis, (lead, n) in enumerate(edges):
+            along = strip.swapaxes(0, axis)
+            along[:lead] = along[lead]
+            along[lead + n :] = along[lead + n - 1]
+        np.divide(window_sums(strip, size), size**a.ndim, out=out[start:stop])
     return out
 
 
@@ -166,9 +184,9 @@ def _pieces(n_items: int, item_nbytes: int) -> list[tuple[int, int]]:
     A piece has ``_PIECE_BYTES // item_nbytes`` items (at least one), where
     ``item_nbytes`` is the bytes one item brings into the loop: an input row
     of window sums, a symbol of a frame, a trial of the oracle. Only the last
-    piece may be shorter.
+    piece may be shorter. Items of no bytes come in one piece.
     """
-    step = max(_PIECE_BYTES // item_nbytes, 1)
+    step = max(_PIECE_BYTES // max(item_nbytes, 1), 1)
     return [(start, min(start + step, n_items)) for start in range(0, n_items, step)]
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hooks import PgmHook
-from .images import box_mean, image_distance
+from .images import _pieces, box_mean, image_distance
 from .link import QamParams
 
 __all__ = [
@@ -89,11 +89,20 @@ class SmoothingDenoiser:
         self.size = int(size)
 
     def __call__(self, image: np.ndarray) -> np.ndarray:
+        """(1 - w) * u + w * box(u) with w = strength / (1 + strength), as a new float array.
+
+        The blend is made in ``box_mean``'s output, strip of rows by strip of
+        rows: each strip is scaled by w in place and takes (1 - w) times its
+        own rows of u, so the only image-sized array is the output.
+        """
         u = np.asarray(image, dtype=float)
         blurred = box_mean(u, self.size)
         w = self.strength / (1.0 + self.strength)
-        blurred *= w  # in place: (1 - w) * u + w * blurred, one full-size array fewer
-        blurred += (1.0 - w) * u
+        out, rows = np.atleast_1d(blurred, u)  # a lone pixel as one row, viewing the same data
+        for start, stop in _pieces(len(rows), rows[:1].nbytes):
+            part = out[start:stop]
+            part *= w
+            part += (1.0 - w) * rows[start:stop]
         return blurred
 
 

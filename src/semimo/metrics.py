@@ -45,33 +45,43 @@ SSIM_VARIANT = (
 
 
 class Reference:
-    """A reference image with its SSIM window moments computed once.
+    """A reference image with its SSIM window moments computed once, for reuse.
 
     ``ssim``, ``psnr``, ``mae`` and ``metric_report`` take one wherever they
     take the reference array, and give the same float. ``image`` is the
     reference as float; ``mx`` and ``mxx`` are the SSIM window means of the
-    image and of its square, written strip of rows by strip of rows (the
-    strips of ``images.window_sums``: the same sums in the same order, and
-    only a strip's squares at a time). All three are read-only, so threads
-    may share one Reference.
+    image and of its square, written strip of rows by strip of rows by
+    ``_reference_means``, which the array path of ``ssim`` calls on the same
+    strips. Build one only to score several images against one reference:
+    given an array, the scores keep no reference moments. All three arrays
+    are read-only, so threads may share one Reference.
     """
 
     def __init__(self, image):
-        a = np.array(image, dtype=float)
-        if a.ndim != 2:
-            raise ValueError(f"expected 2-D images, got shape {a.shape}")
-        if min(a.shape) < SSIM_WINDOW:
-            raise ValueError(f"image {a.shape} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
+        a = np.array(_reference_image(image), dtype=float)
         self.image = a
         self.mx = np.empty(tuple(n - SSIM_WINDOW + 1 for n in a.shape))
         self.mxx = np.empty_like(self.mx)
-        n = SSIM_WINDOW * SSIM_WINDOW
         for start, stop in _pieces(len(self.mx), a[0].nbytes):
-            rows = a[start : stop + SSIM_WINDOW - 1]
-            np.divide(window_sums(rows, SSIM_WINDOW), n, out=self.mx[start:stop])
-            np.divide(window_sums(rows * rows, SSIM_WINDOW), n, out=self.mxx[start:stop])
+            self.mx[start:stop], self.mxx[start:stop] = _reference_means(
+                a[start : stop + SSIM_WINDOW - 1])
         for arr in (self.image, self.mx, self.mxx):
             arr.flags.writeable = False
+
+
+def _reference_image(image) -> np.ndarray:
+    """``image`` as an array in its own dtype, if SSIM can take it as a reference.
+
+    ValueError unless it is 2-D and at least SSIM_WINDOW pixels on each side.
+    ``Reference`` and the array path of ``ssim`` both check here, so they
+    reject the same images with the same messages.
+    """
+    a = np.asarray(image)
+    if a.ndim != 2:
+        raise ValueError(f"expected 2-D images, got shape {a.shape}")
+    if min(a.shape) < SSIM_WINDOW:
+        raise ValueError(f"image {a.shape} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window")
+    return a
 
 
 def _plain(ref):
@@ -80,12 +90,14 @@ def _plain(ref):
 
 
 def _difference(ref, test) -> np.ndarray:
-    """The reference's float image minus ``test`` in its own dtype, as a new C-ordered array.
+    """The reference minus ``test``, both read as floats, as a new C-ordered float array.
 
-    C order whatever the inputs' order, so the means taken over it add the
-    same values in the same order for every memory layout.
+    The subtraction reads each input in its own dtype (``dtype=float``), so
+    an 8-bit reference or test image is never copied whole to float. C order
+    whatever the inputs' order, so the means taken over it add the same
+    values in the same order for every memory layout.
     """
-    return np.subtract(*_image_pair(_plain(ref), test), order="C")
+    return np.subtract(*_image_pair(_plain(ref), test), dtype=float, order="C")
 
 
 def _mae_in_place(diff: np.ndarray) -> float:
@@ -126,27 +138,38 @@ def _window_means(a: np.ndarray) -> np.ndarray:
     return window_sums(a, SSIM_WINDOW) / (SSIM_WINDOW * SSIM_WINDOW)
 
 
+def _reference_means(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """μx and E[x²]: the SSIM window means of a float strip of reference rows and of its squares."""
+    return _window_means(rows), _window_means(rows * rows)
+
+
 def ssim(ref, test) -> float:
     """Mean structural similarity over uniform SSIM_WINDOW x SSIM_WINDOW windows.
 
     Per window: (2*mx*my + C1)*(2*cov + C2) / ((mx^2 + my^2 + C1)*(vx + vy + C2)),
     with population (divide-by-n) moments and the pinned SSIM_C1, SSIM_C2.
     Uniform windows rather than Gaussian weighting keep the value exactly
-    reproducible, and the window sums are exact on integer images. A ``ref``
-    given as a Reference skips filtering the reference again. The map of
-    per-window scores is filled strip of rows by strip of rows, with the
+    reproducible, and the window sums are exact on integer images. The map
+    of per-window scores is filled strip of rows by strip of rows, with the
     window sums of ``images.window_sums`` and the formula's steps in one
     fixed order, so every score has the bytes of one whole-image pass; its
-    mean is taken once, over the whole map. The test image is read as floats
-    one strip at a time, so an 8-bit image is never copied whole.
+    mean is taken once, over the whole map. A ``ref`` given as a Reference
+    supplies its stored μx and E[x²]; given as an array, each strip takes
+    them from its own reference rows with ``_reference_means``, as
+    ``Reference`` does, so both give the same float and no whole-image
+    moments are kept. Either image is read as floats one strip at a time, so
+    an 8-bit image is never copied whole.
     """
-    ref = ref if isinstance(ref, Reference) else Reference(ref)
-    a, b = _image_pair(ref.image, test)
-    scores = np.empty(ref.mx.shape)
-    for start, stop in _pieces(len(scores), a[0].nbytes):
+    stored = isinstance(ref, Reference)
+    a, b = _image_pair(ref.image if stored else _reference_image(ref), test)
+    scores = np.empty(tuple(n - SSIM_WINDOW + 1 for n in a.shape))
+    for start, stop in _pieces(len(scores), a.shape[1] * scores.itemsize):
         rows = slice(start, stop + SSIM_WINDOW - 1)
-        x, y = a[rows], np.asarray(b[rows], dtype=float)
-        mx, mxx = ref.mx[start:stop], ref.mxx[start:stop]
+        x, y = np.asarray(a[rows], dtype=float), np.asarray(b[rows], dtype=float)
+        if stored:
+            mx, mxx = ref.mx[start:stop], ref.mxx[start:stop]
+        else:
+            mx, mxx = _reference_means(x)
         my = _window_means(y)
         myy = _window_means(y * y)
         mxy = _window_means(x * y)
@@ -214,12 +237,13 @@ class MetricReport:
 def metric_report(test, ref, external: "ExternalMetric | None" = None) -> MetricReport:
     """Score a reconstruction (first argument) against the reference.
 
-    ``ref``: an array (made one Reference) or a Reference; ``external`` gets the plain image.
-    MAE and PSNR share one difference array: its absolute value gives the
-    MAE, and squaring that (|d|² has the bytes of d²) the MSE.
+    ``ref``: an array or a Reference; ``external`` gets the plain image.
+    An array is scored as it is, with no Reference built: SSIM takes the
+    reference moments strip by strip, and the difference reads both images
+    as floats. MAE and PSNR share one difference array: its absolute value
+    gives the MAE, and squaring that (|d|² has the bytes of d²) the MSE.
     """
     ext = external(test, _plain(ref)) if external is not None else None
-    ref = ref if isinstance(ref, Reference) else Reference(ref)
     one_minus_ssim = 1.0 - ssim(ref, test)  # first: its map is freed before the difference exists
     diff = _difference(ref, test)
     mae_value = _mae_in_place(diff)

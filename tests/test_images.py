@@ -225,12 +225,33 @@ def test_box_mean_strips_give_the_one_strip_bytes(size, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("size", range(1, 10))
+def test_box_mean_is_the_whole_padded_array_formula(size, monkeypatch):
+    # The strip buffer against np.pad of the whole array. At every length 1-9
+    # the pads reach past the far edge for wide boxes, and strips of one,
+    # two or three rows start and end inside the pad rows.
+    rng = np.random.default_rng(300 + size)
+    for ndim in (1, 2, 3):
+        for n in range(1, 10):
+            shape = (n, n + 2, 3)[:ndim]
+            for x in (rng.integers(0, 256, shape).astype(np.uint8),
+                      rng.integers(-(2**20), 2**20, shape), rng.standard_normal(shape) * 100.0):
+                padded = np.pad(x.astype(float), (size // 2, (size - 1) // 2), mode="edge")
+                whole = np.ascontiguousarray(window_sums(padded, size) / size**ndim).tobytes()
+                row_nbytes = padded[:1].nbytes
+                for rows in (None, 1, 2, 3):
+                    if rows is not None:
+                        monkeypatch.setattr(images, "_PIECE_BYTES", rows * row_nbytes)
+                    assert box_mean(x, size).tobytes() == whole, (shape, x.dtype, rows)
+                    monkeypatch.undo()
+
+
 def test_box_mean_holds_no_image_sized_temporaries(traced_peak):
-    # The design's arrays: the edge-padded copy (about one image) and the
-    # output (one image). A strip's sums take well under one more image; the
-    # sums of the whole padded array held up to two more beside those.
+    # The design's arrays: the output (one image), one strip buffer of edge-
+    # padded rows and a strip's sums, well under one more image. The
+    # edge-padded copy of the whole input took one more image beside those.
     x = np.random.default_rng(3).uniform(0, 255, (1024, 1024))
-    assert traced_peak(lambda: box_mean(x, 3)) < 3 * x.nbytes
+    assert traced_peak(lambda: box_mean(x, 3)) < 1.5 * x.nbytes
 
 
 def test_window_sums_cover_whole_windows_only():

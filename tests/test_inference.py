@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semimo.images import image_distance, synthetic_test_image, to_uint8
+from semimo import images
+from semimo.images import box_mean, image_distance, synthetic_test_image, to_uint8
 from semimo.inference import (
     AffineContraction,
     ExternalCommandOperator,
@@ -83,6 +84,40 @@ class TestOperators:
         expected = q + ((r > 9) | ((r == 9) & (q % 2 == 1)))
         got = to_uint8(apply_operator(SmoothingDenoiser(strength=1.0), u))
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("strength", [0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_denoiser_is_its_closed_form_byte_for_byte(self, strength, size, monkeypatch):
+        # The whole-array blend in the order the strips must keep: the box
+        # mean scaled by w, then (1 - w) * u added. Strips of one and of three
+        # rows, and 1-D, 3-D and one-pixel inputs, give the same bytes.
+        rng = np.random.default_rng(size)
+        w = strength / (1.0 + strength)
+        cases = [rng.uniform(0, 255, (37, 29)), rng.integers(0, 256, (64, 64)).astype(np.uint8),
+                 np.asfortranarray(rng.uniform(0, 255, (17, 23))), rng.uniform(0, 255, 41),
+                 rng.uniform(0, 255, (6, 5, 4)), np.array(7.5), np.empty((0, 3))]
+        for x in cases:
+            u = np.asarray(x, dtype=float)
+            expected = box_mean(u, size)
+            expected *= w
+            expected += (1.0 - w) * u
+            for budget in (None, 1, 3 * np.atleast_1d(u)[:1].nbytes):
+                if budget is not None:
+                    monkeypatch.setattr(images, "_PIECE_BYTES", budget)
+                got = SmoothingDenoiser(strength, size)(x)
+                assert got.flags.c_contiguous and got.shape == u.shape, (x.shape, budget)
+                assert got.tobytes() == expected.tobytes(), (x.shape, budget)
+                monkeypatch.undo()
+
+    def test_denoiser_holds_one_image_beside_its_input(self, traced_peak):
+        # apply_operator's float copy of the 8-bit frame and the output are
+        # two images (16 MiB at 1024²); a strip's buffer and sums come on top.
+        # A padded copy and a whole-image blend term took 24.5 MiB.
+        clean = synthetic_test_image(1024, 1024)
+        noisy = np.clip(clean + np.random.default_rng(4).normal(0, 10, clean.shape), 0, 255)
+        noisy = noisy.astype(np.uint8)
+        operator = SmoothingDenoiser(strength=1.0)
+        assert traced_peak(lambda: apply_operator(operator, noisy)) <= 20 * 2**20
 
     def test_external_command_identity_via_copy(self):
         img = synthetic_test_image(16, 16)

@@ -226,6 +226,42 @@ class TestReference:
             with pytest.raises(ValueError):
                 Reference(bad)
 
+    @pytest.mark.parametrize("ref_shape, test_shape", [
+        ((64,), (64,)), ((4, 4, 4), (4, 4, 4)), ((7, 30), (7, 30)), ((30, 7), (30, 7)),
+        ((16, 16), (16, 15)), ((16, 16), (16,)), ((7, 30), (8, 30)), ((4, 4, 4), (4, 4)),
+    ])
+    def test_the_array_path_raises_what_a_reference_raises(self, ref_shape, test_shape):
+        # One check of the reference (2-D, at least one window) and one of the
+        # pair's shapes, in that order, whether or not a Reference is built.
+        ref, test = np.zeros(ref_shape, dtype=np.uint8), np.zeros(test_shape)
+        with pytest.raises(ValueError) as built:
+            ssim(Reference(ref), test)
+        for score in (lambda: ssim(ref, test), lambda: metric_report(test, ref)):
+            with pytest.raises(ValueError) as array:
+                score()
+            assert str(array.value) == str(built.value)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 13), (21, 9), (37, 29), (1024, 1024)])
+    def test_array_and_reference_give_the_same_bytes(self, shape):
+        # Given an array, each strip takes the reference moments from its own
+        # rows; given a Reference, from the stored ones. Every input form reads
+        # the same floats, so all of them give one set of bytes.
+        rng = np.random.default_rng(shape[1])
+        clean = rng.uniform(0, 255, shape)
+        noisy = np.clip(clean + rng.normal(0, 25, shape), 0, 255)
+        forms = {
+            "float": (clean, noisy),
+            "uint8": (clean.astype(np.uint8), noisy.astype(np.uint8)),
+            "int64": (clean.astype(np.int64), noisy.astype(np.int64)),
+            "fortran": (np.asfortranarray(clean), np.asfortranarray(noisy)),
+            "fortran uint8": (np.asfortranarray(clean.astype(np.uint8)), noisy.astype(np.uint8)),
+        }
+        for kind, (ref, test) in forms.items():
+            stored = Reference(ref)
+            for score in (ssim, psnr, mae):
+                assert repr(score(ref, test)) == repr(score(stored, test)), (kind, score)
+            assert repr(metric_report(test, ref)) == repr(metric_report(test, stored)), kind
+
     def test_moments_are_read_only_and_detached(self):
         image = synthetic_test_image(16, 16).astype(float)
         ref = Reference(image)
@@ -312,6 +348,15 @@ class TestStrips:
         noisy = noisy.astype(np.uint8)
         ref = Reference(clean)
         assert traced_peak(lambda: ssim(ref, noisy)) < 3 * clean.size * 8
+
+    def test_report_on_an_array_keeps_no_reference_moments(self, traced_peak):
+        # The map of window scores, then the difference: one image each, not
+        # both at once, plus a strip's moments. A throwaway Reference (the
+        # image as float and two maps of moments) took 33.0 MiB at 1024².
+        clean = synthetic_test_image(1024, 1024)
+        noisy = np.clip(clean + np.random.default_rng(4).normal(0, 10, clean.shape), 0, 255)
+        noisy = noisy.astype(np.uint8)
+        assert traced_peak(lambda: metric_report(noisy, clean)) <= 16 * 2**20
 
 
 @settings(max_examples=15, deadline=None)
