@@ -6,6 +6,7 @@
 Parses every ``*.py`` file directly in PACKAGE_DIR (default ``src/semimo``)
 and prints one ``name count`` line each for:
 
+- ``modules``: the ``*.py`` files walked;
 - ``lines``: the lines of all the files together;
 - ``parameters``: the parameters of every ``def``, without ``self``, ``cls``
   and ``*``/``**`` parameters (lambdas are not counted);
@@ -38,10 +39,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def count(package_dir) -> dict[str, int]:
     counts = dict.fromkeys(
-        ("lines", "parameters", "defaults", "dataclass_fields", "config_keys", "constants"), 0
+        ("modules", "lines", "parameters", "defaults", "dataclass_fields", "config_keys",
+         "constants"), 0
     )
     for path in sorted(Path(package_dir).glob("*.py")):
         text = path.read_text(encoding="utf-8")
+        counts["modules"] += 1
         counts["lines"] += len(text.splitlines())
         tree = ast.parse(text, filename=str(path))
         for node in tree.body:

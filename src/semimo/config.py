@@ -15,7 +15,7 @@ from .inference import (
     SmoothingDenoiser,
 )
 from .link import square_qam_bits
-from .metrics import METRIC_NAMES, SSIM_WINDOW, ExternalMetric
+from .metrics import METRIC_NAMES, ExternalMetric, _reference_image
 from .precoding import Scheme
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_operator", "from_db", "to_db"]
@@ -134,14 +134,9 @@ class ExperimentConfig:
                 image = synthetic_test_image(self.image_width, self.image_height)
             else:
                 image = read_pgm(self.image)
+            return _reference_image(image)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot load image {self.image!r}: {exc}") from exc
-        if min(image.shape) < SSIM_WINDOW:
-            raise ConfigError(
-                f"image {self.image!r} is {image.shape[1]}x{image.shape[0]}, smaller "
-                f"than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window"
-            )
-        return image
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}

@@ -1,14 +1,20 @@
-"""8-bit grayscale image helpers: PGM I/O, a synthetic test card, distances, box sums and means."""
+"""8-bit grayscale images: PGM I/O and its command hook, a test card, distances, box means."""
 
 from __future__ import annotations
 
 import math
+import re
+import shlex
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 __all__ = [
     "read_pgm",
     "write_pgm",
+    "PgmHook",
     "synthetic_test_image",
     "image_distance",
     "to_uint8",
@@ -28,35 +34,36 @@ __all__ = [
 # 1024² SSIM took 42 ms in strips of 16 or 32 rows, 51 at 128 and 61 in one.
 _PIECE_BYTES = 1 << 17
 
+# A binary PGM header: "P5" at byte 0; width, height and maxval (signed, so
+# that read_pgm can name a negative size), each after whitespace or "#"
+# comments to the end of their line; then one whitespace byte, the raster's.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(-?\d+)" * 3 + rb"\s")
+
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) 8-bit PGM file into a 2-D uint8 array."""
+    """Read a binary (P5) PGM file with maxval 1-255 into a 2-D uint8 array.
+
+    Samples are returned as stored, not rescaled to 255. A header that does
+    not match, a side below 1, a maxval outside 1-255, short pixel data or a
+    sample above maxval raises ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    # Header: magic, width, height, maxval, separated by whitespace/comments.
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    if fields[0] != b"P5":
-        raise ValueError(f"{path!s}: not a binary PGM (magic {fields[0]!r})")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path!s}: not a binary PGM header (P5, width, height, maxval)")
+    width, height, maxval = map(int, header.groups())
+    if width < 1 or height < 1:
+        raise ValueError(f"{path!s}: image size {width}x{height} has a side below 1")
     if not 0 < maxval <= 255:
-        raise ValueError(f"{path!s}: only 8-bit PGM supported (maxval {maxval})")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if pixels.size != width * height:
-        raise ValueError(f"{path!s}: truncated pixel data")
-    return pixels.reshape(height, width).copy()
+        raise ValueError(f"{path!s}: maxval {maxval} outside 1-255 (8-bit PGM only)")
+    stored = len(data) - header.end()
+    if stored < width * height:
+        raise ValueError(f"{path!s}: truncated pixel data ({stored} of {width * height} bytes)")
+    pixels = np.frombuffer(data, np.uint8, width * height, header.end()).reshape(height, width)
+    if pixels.max() > maxval:
+        raise ValueError(f"{path!s}: sample {pixels.max()} above maxval {maxval}")
+    return pixels.copy()
 
 
 def write_pgm(path, image) -> None:
@@ -68,6 +75,52 @@ def write_pgm(path, image) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
+
+
+class PgmHook:
+    """Shared core of the external operator and metric hooks.
+
+    A subclass sets its ``placeholders``, its ``error`` type and its
+    ``timeout`` in seconds. Each ``{name}`` placeholder becomes the
+    shell-quoted path of ``name.pgm`` in a fresh temporary directory; other
+    braces, such as an awk program's, reach the command unchanged. A command
+    that cannot be split or started, times out, exits nonzero or leaves an
+    unreadable output image raises ``error``.
+    """
+
+    placeholders: tuple[str, ...]
+    error: type[Exception]
+    timeout: float
+
+    def __init__(self, command_template: str):
+        if not all(f"{{{name}}}" in command_template for name in self.placeholders):
+            wanted = " and ".join(f"{{{name}}}" for name in self.placeholders)
+            raise ValueError(f"command template must contain {wanted}")
+        self.command_template = command_template
+
+    def _run(self, images: dict, output: str | None = None):
+        """Run on ``images`` (by placeholder); return stdout and the ``output`` image."""
+        with tempfile.TemporaryDirectory(prefix="semimo-hook-") as tmp:
+            paths = {name: str(Path(tmp) / f"{name}.pgm") for name in self.placeholders}
+            for name, image in images.items():
+                write_pgm(paths[name], image)
+            # Quoted, so a path holding a space stays one argument.
+            quoted = {name: shlex.quote(path) for name, path in paths.items()}
+            cmd = re.sub(r"\{(\w+)\}", lambda m: quoted.get(m[1], m[0]), self.command_template)
+            try:
+                proc = subprocess.run(
+                    shlex.split(cmd), capture_output=True, text=True, timeout=self.timeout
+                )
+            except (OSError, ValueError, subprocess.TimeoutExpired) as exc:
+                raise self.error(f"external command failed to run: {exc}") from exc
+            if proc.returncode != 0:
+                raise self.error(
+                    f"external command exited {proc.returncode}: {proc.stderr.strip()[:500]}"
+                )
+            try:
+                return proc.stdout, read_pgm(paths[output]) if output else None
+            except (OSError, ValueError) as exc:
+                raise self.error(f"unusable output image: {exc}") from exc
 
 
 def to_uint8(image) -> np.ndarray:

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hooks import PgmHook
-from .images import _pieces, box_mean, image_distance
+from .images import PgmHook, _pieces, box_mean, image_distance
 from .link import QamParams
 
 __all__ = [

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hooks import PgmHook
-from .images import _image_pair, _pieces, image_distance, window_sums
+from .images import PgmHook, _image_pair, _pieces, image_distance, window_sums
 
 __all__ = [
     "PSNR_CAP_DB",

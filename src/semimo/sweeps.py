@@ -141,14 +141,14 @@ def score_frame(
     """Score the received image ("identity") and each named operator's output.
 
     ``clean`` is the reference image or a metrics.Reference built from it;
-    an array is made into one Reference for all the scores of this call.
+    every score is taken against it as given, so only a caller that scores
+    many frames against one image, such as ``_run_grid``, builds a Reference.
     Returns name -> (image, report), identity first.
     """
-    reference = clean if isinstance(clean, Reference) else Reference(clean)
-    scored = {"identity": (noisy, metric_report(noisy, reference, external))}
+    scored = {"identity": (noisy, metric_report(noisy, clean, external))}
     for name, operator in operators.items():
         restored = apply_operator(operator, noisy)
-        scored[name] = (restored, metric_report(restored, reference, external))
+        scored[name] = (restored, metric_report(restored, clean, external))
     return scored
 
 

@@ -133,16 +133,19 @@ def test_missing_image_is_config_error(tmp_path):
         "operator = affine:factor=0.5,anchor=flat:nan\n",
         "operator = affine:factor=0.5,anchor=flat:inf\n",
         "n_error_draws = 1\n",
+        "image = {tmp}/over-maxval.pgm\n",
     ],
     ids=[
         "non-square-qam", "tiny-synthetic", "tiny-pgm", "n-users-not-8", "metric-template",
         "zero-noise", "zero-error-draws", "nan-fixed-snr", "inf-snr", "nan-err-var",
         "huge-snr", "huge-err-var", "affine-anchor-shape", "nan-strength", "inf-strength",
-        "nan-anchor", "inf-anchor", "one-error-draw",
+        "nan-anchor", "inf-anchor", "one-error-draw", "over-maxval-pgm",
     ],
 )
 def test_bad_input_rejected_before_first_cell(tmp_path, extra):
     write_pgm(tmp_path / "tiny.pgm", np.zeros((4, 4), dtype=np.uint8))
+    # A 16x16 image whose maxval is 15 but whose samples are 200.
+    (tmp_path / "over-maxval.pgm").write_bytes(b"P5\n16 16\n15\n" + bytes([200]) * 256)
     cfg = write_small_config(tmp_path, extra=extra.format(tmp=tmp_path))
     out = tmp_path / "x.csv"
     for verb in ("snr-sweep", "csi-sweep", "reconstruct"):

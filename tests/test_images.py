@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +32,13 @@ def test_pgm_roundtrip(tmp_path):
 def test_pgm_header_comments(tmp_path):
     path = tmp_path / "commented.pgm"
     body = bytes(range(6))
-    path.write_bytes(b"P5\n# a comment\n3 2\n# another\n255\n" + body)
-    img = read_pgm(path)
-    assert img.shape == (2, 3)
-    assert np.array_equal(img.ravel(), np.frombuffer(body, dtype=np.uint8))
+    # Comment lines between fields; then a comment after the magic, the width and the height.
+    for header in (b"P5\n# a comment\n3 2\n# another\n255\n",
+                   b"P5 # magic\n3\t# width\n2 # height\n255\n"):
+        path.write_bytes(header + body)
+        img = read_pgm(path)
+        assert img.shape == (2, 3)
+        assert np.array_equal(img.ravel(), np.frombuffer(body, dtype=np.uint8))
 
 
 def test_pgm_rejects_wrong_magic(tmp_path):
@@ -47,7 +51,21 @@ def test_pgm_rejects_wrong_magic(tmp_path):
 def test_pgm_rejects_truncated(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"P5\n4 4\n15\n" + bytes(15) + bytes([200]), "sample 200 above maxval 15"),
+    (b"P5\n0 4\n255\n", "size 0x4 has a side below 1"),
+    (b"P5\n4 0\n255\n", "size 4x0 has a side below 1"),
+    (b"P5\n-4 4\n255\n" + bytes(16), "size -4x4 has a side below 1"),
+    (b" P5\n4 4\n255\n" + bytes(16), "not a binary PGM header"),
+], ids=["sample-above-maxval", "zero-width", "zero-height", "negative-width", "space-before-magic"])
+def test_pgm_rejects_what_the_format_forbids(tmp_path, raw, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
         read_pgm(path)
 
 

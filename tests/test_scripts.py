@@ -224,6 +224,7 @@ def test_count_settables_on_a_known_module(tmp_path, capsys):
     )
     (tmp_path / "notes.txt").write_text("def g(x):\n")
     expected = {
+        "modules": 2,  # a.py, b.py; not notes.txt
         "lines": 27,
         "parameters": 8,  # p q r s, t, u v w
         "defaults": 3,  # q s w
