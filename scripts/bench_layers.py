@@ -31,9 +31,9 @@ denoiser calls it (size 3, nearest); ``metric_report`` at 1024² as
 perfbench's ``image_transport`` calls it (an 8-bit test image against the
 reference array). ``split_bit_planes`` and ``BitPlaneSource.to_image`` at
 128² and 1024² copy the test image's bytes in and out of a source.
-``transmit_frame`` sends the test image's eight bit planes at 128² and 1024²
-through ZF on a perfect-CSI draw at the default SNR and QAM order, chunk by
-chunk from the source's pixel bytes; these layers also record their
+``transmit_frame`` sends the test image's eight bit planes at 128², 512² and
+1024² through ZF on a perfect-CSI draw at the default SNR and QAM order,
+chunk by chunk from the source's pixel bytes; these layers also record their
 throughput in Mbit/s (the planes' bits over each sample's time per call,
 median and IQR).
 
@@ -230,8 +230,8 @@ def _layers(package: str = "semimo"):
     for size in (128, 512, 1024):
         clean = lib["images"].synthetic_test_image(size, size)
         noisy = np.clip(clean + rng.normal(0, 10, clean.shape), 0, 255).astype(np.uint8)
+        source = transceiver.split_bit_planes(clean)
         if size != 512:
-            source = transceiver.split_bit_planes(clean)
             layers.append((
                 f"transceiver.split_bit_planes[{size}x{size}]",
                 {"size": size},
@@ -242,13 +242,13 @@ def _layers(package: str = "semimo"):
                 {"size": size},
                 source.to_image,
             ))
-            layers.append((
-                f"transceiver.transmit_frame[{size}x{size}]",
-                {"size": size, "scheme": "zf", "n_tx": cfg.n_tx, "n_users": cfg.n_users,
-                 "qam_order": cfg.qam_order, "snr_db": cfg.fixed_snr_db,
-                 "bits": source.planes.size},
-                lambda source=source: transceiver.transmit_frame(source, *frame_args),
-            ))
+        layers.append((
+            f"transceiver.transmit_frame[{size}x{size}]",
+            {"size": size, "scheme": "zf", "n_tx": cfg.n_tx, "n_users": cfg.n_users,
+             "qam_order": cfg.qam_order, "snr_db": cfg.fixed_snr_db,
+             "bits": source.planes.size},
+            lambda source=source: transceiver.transmit_frame(source, *frame_args),
+        ))
         layers.append((
             f"metrics._window_means[{size}x{size}]",
             {"size": size, "window": metrics.SSIM_WINDOW},

@@ -78,27 +78,16 @@ class ChannelSet:
         return self.h_known.shape[1]
 
 
-def _normal_parts(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out[0]`` with the real parts' normals, then ``out[1]`` with the imaginary parts'.
-
-    The one draw order of complex Gaussian entries: ``out[0]`` gets the next
-    ``standard_normal`` block of ``rng`` in its shape and ``out[1]`` the block
-    after it. ``out`` is a C-contiguous float64 array of two equal parts.
-    """
-    for part in out:
-        rng.standard_normal(out=part)
-    return out
-
-
 def complex_gaussian(rng: np.random.Generator, shape, var: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian entries with the given variance.
 
-    Draw order: the real parts, then the imaginary parts (``_normal_parts``).
-    The result is one C-contiguous complex128 array, filled part by part and
+    Draw order: the next ``standard_normal`` block of ``rng`` in ``shape``
+    gives the real parts, and the block after it the imaginary parts. The
+    result is one C-contiguous complex128 array, filled part by part and
     scaled in place by ``sqrt(var / 2)``; its bytes equal ``sqrt(var / 2) *
     (x + 1j * y)``.
     """
-    x, y = _normal_parts(rng, np.empty((2, *shape)))
+    x, y = rng.standard_normal((2, *shape))
     out = np.empty(x.shape, dtype=np.complex128)
     out.real = x
     out.imag = y

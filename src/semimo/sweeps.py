@@ -223,10 +223,13 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
 
     At one worker the cells run on the calling thread, so a cell runs under
     the caller's ``np.errstate`` (numpy keeps it in a context variable, which
-    pool threads do not inherit) and no thread is started. With more workers
-    they run on a pool of ``cfg.workers`` threads. Rows always come back in
-    grid order. On a cell failure the rows before it are flushed with an error
-    marker row appended before the exception propagates.
+    pool threads do not inherit) and no pool thread is started; a frame of
+    more than one block (above 65,536 symbols per stream) still draws its
+    noise on a helper thread of its own (``transmit_frame``). With more
+    workers the cells run on a pool of ``cfg.workers`` threads. Rows always
+    come back in grid order. On a cell failure the rows before it are
+    flushed with an error marker row appended before the exception
+    propagates.
     """
     source = load_source(cfg)
     # Read-only, so the cells share it under any worker count.

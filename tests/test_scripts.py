@@ -122,6 +122,7 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
             "metrics.ssim[128x128,array]",
             "metrics.ssim[128x128,reference]",
             "inference.SmoothingDenoiser[128x128]",
+            "transceiver.transmit_frame[512x512]",
             "metrics._window_means[512x512]",
             "images.box_mean[512x512,nearest3]",
             "metrics.ssim[512x512,array]",

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from semimo import images
+from semimo import images, transceiver
 from semimo.channel import ChannelSet, SeedSpec, draw_channel_set
 from semimo.images import synthetic_test_image
 from semimo.link import QamParams, ber_from_sinr, link_budget, q_function
@@ -449,9 +450,12 @@ def frame_digest(height, width) -> str:
 
 
 # Recorded from the one-pass-per-block transmit_frame that kept one byte per
-# bit (numpy 2.4.6). The noise comes from Generator.standard_normal, whose
-# values numpy may change between versions (NEP 19): re-record these on such
-# an upgrade, and say so in CHANGES.md.
+# bit (numpy 2.4.6); 400x331 from the transmit_frame that drew each block's
+# normals into one buffer on the calling thread. 400x331 at 4-QAM is 66,200
+# symbols per stream: a whole block and a short one of 664 symbols. The noise
+# comes from Generator.standard_normal, whose values numpy may change between
+# versions (NEP 19): re-record these on such an upgrade, and say so in
+# CHANGES.md.
 GOLDEN_FRAMES = {
     (8, 8):
         "074b86592da4c55c90754624287ddace6c589d6b5a265d0774d32e5265f82c44",
@@ -461,6 +465,8 @@ GOLDEN_FRAMES = {
         "52f6f1bc3d7a08d6a8e047508afa1015a5e3b8f4eb505c88eb05ef9b27c769b3",
     (200, 301):
         "d98b96b7539d309517f6dc480a220fcf8df1597e52cafd949de056bf81ad37e6",
+    (400, 331):
+        "cc1ec069fab125531858198d3cf261b25b1c93ffc2b26804a63f38f915225ab3",
     (512, 512):
         "59a5606ae95eaf5962b356c583a990440828ee7aecf978c367dd1d890bb72900",
     (1024, 1024):
@@ -484,11 +490,57 @@ class TestFrameGolden:
             assert frame_digest(*shape) == GOLDEN_FRAMES[shape], symbols
 
     def test_frame_holds_no_block_sized_arrays(self, traced_peak):
-        # One block's normals (8 MiB at 8 streams) and the received bytes (1
-        # MiB), plus chunks. One pass per block traced 32 MiB: complex
-        # symbols, received signal and noise of a whole block, and every bit
-        # detected.
+        # Three half-block slots of normals (4 MiB each at 8 streams) and the
+        # received bytes (1 MiB), plus chunks: 13.6 MiB traced. One block's
+        # normals in one buffer traced 9.5 MiB; one pass per block traced 32
+        # MiB: complex symbols, received signal and noise of a whole block,
+        # and every bit detected.
         channel = draw_channel_set(16, 8, 0.0, SeedSpec(3))
         args = (split_bit_planes(synthetic_test_image(1024, 1024)), channel,
                 zf_precoder(channel.h_known), 30.0, 1.0, QamConstellation.square(4), SeedSpec(3))
         assert traced_peak(lambda: transmit_frame(*args)) <= 16 << 20
+
+
+def frame_args(size):
+    """transmit_frame arguments at 4-QAM: a 128x128 frame is one block, 512x512 two."""
+    channel, source, _ = make_frame_setup(size=size)
+    return (source, channel, zf_precoder(channel.h_known), 10.0, 1.0,
+            QamConstellation.square(4), SeedSpec(12))
+
+
+class TestFrameHelperThread:
+    """A frame of more than one block draws the next block's real parts on a helper thread."""
+
+    def test_only_a_frame_of_several_blocks_makes_an_executor(self, monkeypatch):
+        made = []
+        executor = transceiver.ThreadPoolExecutor
+        monkeypatch.setattr(transceiver, "ThreadPoolExecutor",
+                            lambda *args, **kwargs: made.append(kwargs) or executor(*args, **kwargs))
+        transmit_frame(*frame_args(128))
+        assert made == []
+        transmit_frame(*frame_args(512))  # two blocks
+        assert made == [{"max_workers": 1}]
+
+    def test_frame_leaves_no_thread_running(self):
+        before = threading.active_count()
+        transmit_frame(*frame_args(512))
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        raised, callers = [], []
+        rng = SeedSpec.rng
+
+        def failing(self, *subkey):
+            if subkey == (1,):
+                callers.append(threading.current_thread())
+                raised.append(RuntimeError("block 1"))
+                raise raised[-1]
+            return rng(self, *subkey)
+
+        monkeypatch.setattr(SeedSpec, "rng", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 1") as info:
+            transmit_frame(*frame_args(512))
+        assert info.value is raised[0]
+        assert callers[0] is not threading.current_thread()
+        assert threading.active_count() == before
