@@ -272,15 +272,15 @@ def transmit_frame(
     gains[undetectable] = 1.0
     gains = gains[:, None]
 
-    # The call's buffers: slots of one block's real or imaginary normals and,
-    # per block, one chunk's sent bits (a new array per chunk took 9.4k-10.6k
-    # minor faults per default sweep). Part 2b + h, block b's real (h = 0) or
-    # imaginary (h = 1) parts, goes into slot (2b + h) % len(slots): with three
-    # slots, block b + 1's real parts are drawn while block b is sent.
+    # The call's buffers: the received bytes, slots of one block's real or
+    # imaginary normals and, per block, one chunk's sent bits (a new array per
+    # chunk took 9.4k-10.6k minor faults per default sweep). The received
+    # bytes outlive the call, so they come first: after the normals, they left
+    # perfbench image_transport's peak_rss_mb at 70.2 MB, against 65.1 MB.
+    # Part 2b + h, block b's real (h = 0) or imaginary (h = 1) parts, goes into
+    # slot (2b + h) % len(slots): with three slots, block b + 1's real parts
+    # are drawn while block b is sent.
     n_blocks = -(-n_symbols // _BLOCK)
-    # The received bytes outlive the call, so they are allocated first: after
-    # the normals, they left perfbench image_transport's peak_rss_mb at 70.2
-    # MB, against 65.1 MB.
     received = np.empty(n_bits, dtype=np.uint8)
     slots = np.empty((2 if n_blocks == 1 else 3, n_users * min(_BLOCK, n_symbols)))
     # errors[v]: the pixels whose sent and received bytes differ by XOR v.

@@ -1,5 +1,7 @@
 import hashlib
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -544,3 +546,25 @@ class TestFrameHelperThread:
         assert info.value is raised[0]
         assert callers[0] is not threading.current_thread()
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("late", [False, True], ids=["switch-1us", "helper-late"])
+    def test_helper_timing_changes_no_byte(self, late, monkeypatch):
+        # A 1 us switch interval interleaves the helper's and the caller's
+        # bytecode as finely as the interpreter allows; a helper that starts
+        # each draw 20 ms late finishes after the block it is drawn beside.
+        caller, rng = threading.current_thread(), SeedSpec.rng
+
+        def slow(self, *subkey):
+            if threading.current_thread() is not caller:
+                time.sleep(0.02)
+            return rng(self, *subkey)
+
+        interval = sys.getswitchinterval()
+        if late:
+            monkeypatch.setattr(SeedSpec, "rng", slow)
+        else:
+            sys.setswitchinterval(1e-6)
+        try:
+            assert frame_digest(400, 331) == GOLDEN_FRAMES[(400, 331)]
+        finally:
+            sys.setswitchinterval(interval)
