@@ -147,16 +147,22 @@ def empirical_link_budget(
     Each trial's desired and interference gains go into two arrays of
     length ``n_trials``; nothing else outlives a piece, and calls share
     nothing. With perfect CSI nothing is drawn: every trial would repeat the
-    known channel's gains, so one row of them gives the means and the
-    standard errors are exactly 0. With a CSI error, ``n_trials`` must be
-    >= 2 for the draws to give a standard error. Means and standard errors
-    are taken of the unscaled gains and then multiplied by ``p``, so their
-    squares stay finite at any finite ``p``.
+    known channel's gains, so the means are ``link_budget``'s powers bit for
+    bit and the standard errors are exactly 0. With a CSI error, ``n_trials``
+    must be >= 2 for the draws to give a standard error. Means and standard
+    errors are taken of the unscaled gains and then multiplied by ``p``, so
+    their squares stay finite at any finite ``p``.
     """
     _check_link(channel, f, tx_power)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if channel.err_var > 0 and n_trials < 2:
+    if channel.err_var == 0:
+        # Every trial repeats the known channel's gains: exact means, zero spread.
+        # noise_var = 1.0 moves only link_budget's sinr, which is not returned.
+        known = link_budget(channel, f, tx_power, 1.0)
+        zero_se = np.zeros((2, channel.n_users))
+        return EmpiricalBudget(known.p_precode, known.i_precode, *zero_se, n_trials)
+    if n_trials < 2:
         raise ValueError("n_trials must be >= 2 with a CSI error: one draw has no standard error")
     h = channel.h_known
     n_users = h.shape[1]
@@ -164,33 +170,25 @@ def empirical_link_budget(
 
     estimates = np.empty((4, n_users))
     desired, interference, desired_se, interference_se = estimates
-    if channel.err_var == 0:
-        for k in range(n_users):
-            # Every trial repeats these gains: exact means, zero spread.
-            gains = np.abs(h[:, k].conj() @ f) ** 2
-            desired[k] = gains[k]
-            interference[k] = gains.sum() - gains[k]
-            desired_se[k] = interference_se[k] = 0.0
-    else:
-        rng = seed.rng()
-        r = np.linalg.qr(f_conj, mode="r") * np.sqrt(channel.err_var / 2.0)
-        des, intf = np.empty(n_trials), np.empty(n_trials)  # each trial's gains for user k
-        for k in range(n_users):
-            known = h[:, k] @ f_conj
-            for start, stop in _pieces(n_trials, 32 * n_users):  # complex normals and rows
-                # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + e_t
-                z = rng.standard_normal((stop - start, 2 * n_users)).view(np.complex128)
-                # gemm's rows do not depend on the row count; one row alone
-                # would go through gemv, which rounds otherwise.
-                rows = z @ r if len(z) > 1 else (np.vstack([z, z]) @ r)[:1]
-                rows += known
-                gains = rows.real**2 + rows.imag**2
-                des[start:stop] = gains[:, k]
-                np.subtract(gains.sum(axis=1), gains[:, k], out=intf[start:stop])
-            desired[k] = des.mean()
-            interference[k] = intf.mean()
-            desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials)
-            interference_se[k] = intf.std(ddof=1) / np.sqrt(n_trials)
+    rng = seed.rng()
+    r = np.linalg.qr(f_conj, mode="r") * np.sqrt(channel.err_var / 2.0)
+    des, intf = np.empty(n_trials), np.empty(n_trials)  # each trial's gains for user k
+    for k in range(n_users):
+        known = h[:, k] @ f_conj
+        for start, stop in _pieces(n_trials, 32 * n_users):  # complex normals and rows
+            # rows[t, j] = conj(h_k(t)^H f_j) with h_k(t) = h_k + e_t
+            z = rng.standard_normal((stop - start, 2 * n_users)).view(np.complex128)
+            # gemm's rows do not depend on the row count; one row alone
+            # would go through gemv, which rounds otherwise.
+            rows = z @ r if len(z) > 1 else (np.vstack([z, z]) @ r)[:1]
+            rows += known
+            gains = rows.real**2 + rows.imag**2
+            des[start:stop] = gains[:, k]
+            np.subtract(gains.sum(axis=1), gains[:, k], out=intf[start:stop])
+        desired[k] = des.mean()
+        interference[k] = intf.mean()
+        desired_se[k] = des.std(ddof=1) / np.sqrt(n_trials)
+        interference_se[k] = intf.std(ddof=1) / np.sqrt(n_trials)
     estimates *= tx_power
     return EmpiricalBudget(*estimates, n_trials)
 

@@ -164,8 +164,8 @@ class TestEmpiricalBudget:
         ch, mf, _ = channel_and_precoders(16, 8, 0.0, 23)
         budget = link_budget(ch, mf, 1.0, 1.0)
         est = empirical_link_budget(ch, mf, 1.0, 100, SeedSpec(502))
-        np.testing.assert_allclose(est.interference, budget.i_precode, atol=1e-12)
-        np.testing.assert_allclose(est.interference_se, 0.0, atol=1e-15)
+        np.testing.assert_array_equal(est.interference, budget.i_precode)
+        np.testing.assert_array_equal(est.interference_se, 0.0)
 
     @pytest.mark.parametrize("n_trials", [1, 50, 10_000])
     @pytest.mark.parametrize("which", ["mf", "zf"])
@@ -176,11 +176,8 @@ class TestEmpiricalBudget:
         est = empirical_link_budget(ch, pre, 3.0, n_trials, SeedSpec(505))
         assert np.all(est.desired_se == 0.0)
         assert np.all(est.interference_se == 0.0)
-        # link_budget takes one matrix product, the oracle one row per user.
-        np.testing.assert_allclose(est.desired_power, budget.p_precode, rtol=1e-12)
-        np.testing.assert_allclose(
-            est.interference, budget.i_precode, rtol=1e-12, atol=1e-12 * budget.p_precode.max()
-        )
+        np.testing.assert_array_equal(est.desired_power, budget.p_precode)
+        np.testing.assert_array_equal(est.interference, budget.i_precode)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0])
     def test_rejects_non_finite_or_nonpositive_power(self, bad):

@@ -118,11 +118,14 @@ def test_csi_sweep_error_interference_column():
 
 
 def test_csi_sweep_oracle_agrees_with_analytic():
-    cfg = small_config(err_var_grid_db=(-10.0, 0.0), n_error_draws=10_000)
+    cfg = small_config(err_var_grid_db=(float("-inf"), -10.0, 0.0), n_error_draws=10_000)
     for row in run_csi_error_sweep(cfg):
         analytic = row["i_precode_mean"] + row["i_error"]
         estimate = row["i_interference_empirical"]
         se = row["i_interference_empirical_se"]
+        assert (se == 0) == (row["err_var_db"] == float("-inf"))
+        if se == 0:  # perfect CSI: the oracle returns link_budget's powers
+            assert estimate == analytic
         rel = abs(estimate - analytic) / analytic if analytic else 0.0
         assert rel <= 0.01 or abs(estimate - analytic) <= 3 * se
 
