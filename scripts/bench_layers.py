@@ -6,9 +6,11 @@
 
 Run from a checkout: ``semimo`` is imported from that checkout's ``src`` and
 the git sha is read from it, so a copy of this script in another checkout
-times that checkout's code. BLAS is held to one thread. Each sample runs the
-call in a loop that lasts at least 1 ms (the ``timeit.Timer.autorange``
-idea) and records the time per call and the minor page faults per call
+times that checkout's code. BLAS is held to one thread by
+``semimo.bench.one_blas_thread``, which also takes where numpy is already
+imported (under pytest), and the host block reads the thread count while
+it holds. Each sample runs the call in a loop that lasts at least 1 ms (the
+``timeit.Timer.autorange`` idea) and records the time per call and the minor page faults per call
 (the ``getrusage`` ``ru_minflt`` delta of this process over the sample,
 divided by the calls in it); the rounds visit every layer in turn, so a
 spell of host contention falls on all of them. Each layer gets the median,
@@ -53,7 +55,6 @@ import argparse
 import importlib
 import importlib.util
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -308,25 +309,27 @@ def _summary(samples, peak_bytes: int, bits: int | None) -> dict:
 
 def run(against: Path | None = None) -> dict:
     perfbench = _perfbench_run()
-    for var in perfbench.BLAS_THREAD_VARS:
-        os.environ[var] = perfbench.BLAS_THREADS
     sys.path.insert(0, str(ROOT / "src"))
-    layers = _layers()  # imports numpy, after the BLAS pin
-    others = _layers(_load_against(against)) if against is not None else [None] * len(layers)
+    from semimo.bench import one_blas_thread  # imports numpy, which loads OpenBLAS
 
-    loops = [_loops_for(call) for *_, call in layers]
-    peaks = [(_peak_bytes(call), None if other is None else _peak_bytes(other[2]))
-             for (*_, call), other in zip(layers, others)]
-    times = [([], []) for _ in layers]
-    for round_ in range(SAMPLES):
-        for (*_, call), other, count, (taken, taken_other) in zip(layers, others, loops, times):
-            if other is None:
-                taken.append(_sample(call, count))
-                continue
-            # Alternate which checkout goes first, round by round.
-            pair = [(call, taken), (other[2], taken_other)]
-            for side, record in pair[:: 1 if round_ % 2 == 0 else -1]:
-                record.append(_sample(side, count))
+    with one_blas_thread():
+        layers = _layers()
+        others = _layers(_load_against(against)) if against is not None else [None] * len(layers)
+
+        loops = [_loops_for(call) for *_, call in layers]
+        peaks = [(_peak_bytes(call), None if other is None else _peak_bytes(other[2]))
+                 for (*_, call), other in zip(layers, others)]
+        times = [([], []) for _ in layers]
+        for round_ in range(SAMPLES):
+            for (*_, call), other, count, (taken, taken_other) in zip(layers, others, loops, times):
+                if other is None:
+                    taken.append(_sample(call, count))
+                    continue
+                # Alternate which checkout goes first, round by round.
+                pair = [(call, taken), (other[2], taken_other)]
+                for side, record in pair[:: 1 if round_ % 2 == 0 else -1]:
+                    record.append(_sample(side, count))
+        host = perfbench.host_block()  # inside the pin, so it reads the pinned count
     results = {}
     for (name, arguments, _), count, (taken, taken_other), (peak, peak_other) in zip(
             layers, loops, times, peaks):
@@ -339,7 +342,6 @@ def run(against: Path | None = None) -> dict:
             ratio, ratio_iqr = _spread([a[0] / b[0] for a, b in zip(taken, taken_other)])
             results[name]["against"] = _summary(taken_other, peak_other, bits)
             results[name]["ratio"] = {"median": ratio, "iqr": ratio_iqr}
-    host = perfbench.host_block()
     record = {
         "git_sha": host.pop("git_sha"),
         "measured_at": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),

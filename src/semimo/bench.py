@@ -6,11 +6,9 @@ pick from, on the sweeps' channel draw (``draw_channel_set`` at perfect CSI).
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
+import ctypes
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,7 +19,8 @@ from .channel import SeedSpec, draw_channel_set
 from .config import ExperimentConfig
 from .precoding import BUILDERS
 
-__all__ = ["BenchResult", "fit_loglog_slope", "run_complexity_bench", "write_bench_csv"]
+__all__ = ["BenchResult", "fit_loglog_slope", "one_blas_thread", "run_complexity_bench",
+           "write_bench_csv"]
 
 
 @dataclass(frozen=True)
@@ -39,31 +38,52 @@ class BenchResult:
 
 def fit_loglog_slope(sizes, times) -> float:
     """Least-squares slope of log(time) against log(size)."""
-    sizes = np.asarray(sizes, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if sizes.size < 2:
+    if len(sizes) < 2:
         raise ValueError("need at least two points to fit a slope")
     return float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
 
 
-# Thread counts that the common BLAS builds read when they load.
-_ONE_BLAS_THREAD = {
-    var: "1"
-    for var in (
-        "OPENBLAS_NUM_THREADS",
-        "OMP_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "BLIS_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    )
-}
+def _openblas_controls():
+    """Yield the (get, set) thread-count functions of each OpenBLAS this process has loaded."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        try:
+            lib = ctypes.CDLL(path)  # loaded already, so this only looks it up
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                yield get, set_
+                break
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold each loaded OpenBLAS to one thread; give each its count back on exit.
+
+    Each library's own setter takes after numpy's import, where the
+    environment variables no longer do. Without OpenBLAS or /proc it does nothing.
+    """
+    pinned = [(set_, get()) for get, set_ in _openblas_controls()]
+    try:
+        for set_, _ in pinned:
+            set_(1)
+        yield
+    finally:
+        for set_, count in pinned:
+            set_(count)
+
+
 _ROUNDS = 10
 # Transmit antennas per user, so the user count alone drives the scaling.
 TX_RATIO = 2
-_CHILD = (
-    "import json, sys; from semimo.bench import _probe_grid; "
-    "json.dump(_probe_grid(**json.load(sys.stdin)), sys.stdout)"
-)
 
 
 def _probe_grid(users, repetitions, seed) -> dict[str, list[float]]:
@@ -95,29 +115,12 @@ def run_complexity_bench(cfg: ExperimentConfig) -> BenchResult:
     """Probe both schemes over the configured user-count grid.
 
     Each size has ``TX_RATIO`` times as many antennas as users. The probes
-    run in a child Python whose BLAS is held to one thread: a thread pool
+    run with BLAS held to one thread (``one_blas_thread``): a thread pool
     that joins in only above some matrix size speeds up the large end of the
     grid by up to the core count, which flattens the fitted slope.
     """
-    request = {
-        "users": list(cfg.bench_users),
-        "repetitions": cfg.bench_repetitions,
-        "seed": cfg.master_seed,
-    }
-    package_root = str(Path(__file__).resolve().parent.parent)
-    search_path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _CHILD],
-        input=json.dumps(request),
-        capture_output=True,
-        text=True,
-        env={**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": search_path},
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"complexity probe exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
-        )
-    medians = json.loads(proc.stdout)
+    with one_blas_thread():
+        medians = _probe_grid(cfg.bench_users, cfg.bench_repetitions, cfg.master_seed)
     slopes = {scheme: fit_loglog_slope(cfg.bench_users, m) for scheme, m in medians.items()}
     return BenchResult(cfg.bench_users, cfg.bench_repetitions, medians, slopes)
 
@@ -131,5 +134,4 @@ def write_bench_csv(result: BenchResult, path) -> None:
     for scheme, medians in result.medians.items():
         for n, median in zip(result.users, medians):
             lines.append(f"{scheme},{n},{TX_RATIO * n},{result.repetitions},{median:.6e}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

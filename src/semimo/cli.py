@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .bench import run_complexity_bench, write_bench_csv
+from .bench import one_blas_thread, run_complexity_bench, write_bench_csv
 from .channel import SeedSpec
 from .config import ConfigError, from_db, load_config
 from .images import write_pgm
@@ -20,6 +21,8 @@ from .sweeps import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+# OpenBLAS reads its thread count from these when it loads; a user who set one keeps it.
+_OPENBLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=Path, default=None, help="key = value file")
         cmd.add_argument("--out", type=Path, default=None, help="output path")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument("--workers", type=int, default=None, help="parallel cells")
+        if name.endswith("sweep"):
+            cmd.add_argument("--workers", type=int, default=None, help="parallel cells")
     return parser
 
 
@@ -70,9 +74,7 @@ def _reconstruct(cfg, out_path: Path) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(
-            args.config, master_seed=args.seed, workers=args.workers
-        )
+        cfg = load_config(args.config, master_seed=args.seed, workers=vars(args).get("workers"))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -84,20 +86,21 @@ def main(argv=None) -> int:
         print(f"config error: cannot write {out}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.command == "snr-sweep":
-            run_snr_sweep(cfg, out)
+        # At the default 16 x 8, more BLAS threads split no work and cost page faults.
+        with nullcontext() if any(map(os.environ.get, _OPENBLAS_VARS)) else one_blas_thread():
+            if args.command == "snr-sweep":
+                run_snr_sweep(cfg, out)
+            elif args.command == "csi-sweep":
+                run_csi_error_sweep(cfg, out)
+            elif args.command == "bench":
+                result = run_complexity_bench(cfg)
+                write_bench_csv(result, out)
+                for scheme, slope in sorted(result.slopes.items()):
+                    print(f"{scheme}: log-log slope {slope:.3f}")
+            else:
+                _reconstruct(cfg, out)  # names both files it wrote
+        if args.command != "reconstruct":
             print(f"wrote {out}")
-        elif args.command == "csi-sweep":
-            run_csi_error_sweep(cfg, out)
-            print(f"wrote {out}")
-        elif args.command == "bench":
-            result = run_complexity_bench(cfg)
-            write_bench_csv(result, out)
-            for scheme, slope in sorted(result.slopes.items()):
-                print(f"{scheme}: log-log slope {slope:.3f}")
-            print(f"wrote {out}")
-        elif args.command == "reconstruct":
-            _reconstruct(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

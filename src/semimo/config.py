@@ -34,14 +34,6 @@ def to_db(value: float) -> float:
     return 10.0 * np.log10(value) if value > 0 else float("-inf")
 
 
-def _snr_default() -> tuple[float, ...]:
-    return tuple(np.arange(-5.0, 20.0 + 1e-9, 2.5))
-
-
-def _err_grid_default() -> tuple[float, ...]:
-    return (float("-inf"),) + tuple(np.arange(-20.0, 0.0 + 1e-9, 2.5))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep and benchmark settings; defaults match the headline system size.
@@ -55,8 +47,8 @@ class ExperimentConfig:
     n_users: int = 8
     qam_order: int = 4
     noise_var: float = 1.0
-    snr_grid_db: tuple[float, ...] = _snr_default()
-    err_var_grid_db: tuple[float, ...] = _err_grid_default()
+    snr_grid_db: tuple[float, ...] = tuple(np.arange(-5.0, 20.0 + 1e-9, 2.5))
+    err_var_grid_db: tuple[float, ...] = (float("-inf"),) + tuple(np.arange(-20.0, 0.0 + 1e-9, 2.5))
     fixed_snr_db: float = 15.0
     n_channel_trials: int = 3
     n_frames: int = 1

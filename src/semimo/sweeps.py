@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import Context, copy_context
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -221,15 +222,14 @@ def _simulate_cell(
 def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dict]:
     """Run every (snr, err_var, scheme) cell of a sweep, optionally to CSV.
 
-    At one worker the cells run on the calling thread, so a cell runs under
-    the caller's ``np.errstate`` (numpy keeps it in a context variable, which
-    pool threads do not inherit) and no pool thread is started; a frame of
-    more than one block (above 65,536 symbols per stream) still draws its
-    noise on a helper thread of its own (``transmit_frame``). With more
-    workers the cells run on a pool of ``cfg.workers`` threads. Rows always
+    At one worker the cells run on the calling thread and no pool thread is
+    started; with more, on a pool of ``cfg.workers`` threads, each cell in a
+    copy of the caller's context. So at any worker count a cell runs under
+    the caller's ``np.errstate``, which numpy keeps in a context variable. A
+    frame of more than one block (above 65,536 symbols per stream) draws its
+    noise on a helper thread of its own (``transmit_frame``). Rows always
     come back in grid order. On a cell failure the rows before it are
-    flushed with an error marker row appended before the exception
-    propagates.
+    flushed with an error marker row appended before the exception propagates.
     """
     source = load_source(cfg)
     # Read-only, so the cells share it under any worker count.
@@ -248,7 +248,9 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
         # started when one raises. The pool starts no thread until a cell is
         # submitted to it.
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for cell_rows in (pool.map if cfg.workers > 1 else map)(run, cells):
+            ran = (pool.map(Context.run, [copy_context() for _ in cells], [run] * len(cells), cells)
+                   if cfg.workers > 1 else map(run, cells))
+            for cell_rows in ran:
                 rows.extend(cell_rows)
     except Exception as exc:
         if out_path is not None:

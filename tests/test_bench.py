@@ -65,3 +65,29 @@ def test_probes_use_the_sweep_builders_and_channel_draw(monkeypatch):
     for _, h in built:
         n = h.shape[1]
         assert np.array_equal(h, draw_channel_set(2 * n, n, 0.0, SeedSpec(5)).h_known)
+
+
+def test_bench_probes_on_one_blas_thread_and_restores_the_count(monkeypatch, blas_counts):
+    seen = []
+
+    def probe(users, repetitions, seed):
+        seen.append(blas_counts())
+        return {"mf": [1.0, 2.0], "zf": [1.0, 8.0]}
+
+    monkeypatch.setattr(bench, "_probe_grid", probe)
+    cfg = ExperimentConfig(bench_users=(8, 16), bench_repetitions=1)
+    assert run_complexity_bench(cfg).slopes == pytest.approx({"mf": 1.0, "zf": 3.0})
+    assert seen == [[1] * len(blas_counts())]
+    assert set(blas_counts()) == {2}
+
+
+def test_bench_restores_the_blas_count_after_a_failing_probe(monkeypatch, blas_counts):
+    def probe(users, repetitions, seed):
+        assert set(blas_counts()) == {1}
+        raise RuntimeError("probe failed")
+
+    monkeypatch.setattr(bench, "_probe_grid", probe)
+    cfg = ExperimentConfig(bench_users=(8, 16), bench_repetitions=1)
+    with pytest.raises(RuntimeError, match="probe failed"):
+        run_complexity_bench(cfg)
+    assert set(blas_counts()) == {2}

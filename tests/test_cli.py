@@ -167,6 +167,59 @@ def test_unwritable_out_rejected_before_any_work(tmp_path, monkeypatch, verb, ou
     assert ran == [] and sorted(tmp_path.rglob("*")) == before
 
 
+OPENBLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# The function each verb runs its work in, as the CLI looks it up.
+VERB_WORK = {"snr-sweep": "run_snr_sweep", "csi-sweep": "run_csi_error_sweep",
+             "reconstruct": "_reconstruct"}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_WORK))
+def test_verbs_hold_blas_to_one_thread(tmp_path, monkeypatch, blas_counts, verb):
+    for var in OPENBLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    seen = []
+    monkeypatch.setattr(cli, VERB_WORK[verb], lambda cfg, out: seen.append(blas_counts()))
+    cfg = write_small_config(tmp_path)
+    assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == EXIT_OK
+    assert seen == [[1] * len(blas_counts())]
+    assert set(blas_counts()) == {2}
+
+
+@pytest.mark.parametrize("var", OPENBLAS_VARS)
+def test_a_users_blas_variable_wins(tmp_path, monkeypatch, blas_counts, var):
+    for other in OPENBLAS_VARS:
+        monkeypatch.delenv(other, raising=False)
+    monkeypatch.setenv(var, "2")
+    seen = []
+    monkeypatch.setattr(cli, "run_snr_sweep", lambda cfg, out: seen.append(blas_counts()))
+    cfg = write_small_config(tmp_path)
+    assert main(["snr-sweep", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+    assert seen == [[2] * len(blas_counts())]
+
+
+def test_sweep_bodies_do_not_depend_on_the_blas_pin(tmp_path, monkeypatch, blas_counts):
+    # With the user's variable set the sweep runs on the fixture's two threads.
+    for var in OPENBLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cfg = write_small_config(tmp_path)
+    for verb in ("snr-sweep", "csi-sweep"):
+        pinned, unpinned = tmp_path / f"{verb}-pinned.csv", tmp_path / f"{verb}-user.csv"
+        assert main([verb, "--config", str(cfg), "--out", str(pinned)]) == EXIT_OK
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main([verb, "--config", str(cfg), "--out", str(unpinned)]) == EXIT_OK
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        body = [path.read_text().split("\n", 1)[1] for path in (pinned, unpinned)]
+        assert body[0] == body[1]
+
+
+@pytest.mark.parametrize("verb", ["bench", "reconstruct"])
+def test_only_the_sweeps_take_workers(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--workers", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
 def test_non_finite_external_metric_ends_the_sweep(tmp_path, score):
     # A scorer that prints a non-finite number fails its cell like any other

@@ -91,8 +91,13 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
         assert bench.main(["--out", str(out), "--label", label]) == 0
     runs = json.loads(out.read_text())["runs"]
     assert set(runs) == {"before", "after"}
+    from semimo.bench import _openblas_controls
+
+    openblas_loaded = next(_openblas_controls(), None) is not None
     for run in runs.values():
         assert run["host"]["cores"] >= 1 and "blas_name" in run["host"]
+        if openblas_loaded:  # the pin takes although numpy was imported first
+            assert run["host"]["blas_threads_reported"] == 1
         assert set(run["layers"]) == {
             "link.empirical_link_budget",
             "link.empirical_link_budget[zf]",

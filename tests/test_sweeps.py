@@ -173,8 +173,7 @@ def test_workers_do_not_change_rows(tmp_path):
 
 
 def test_one_worker_runs_the_cells_on_the_calling_thread(monkeypatch):
-    # At one worker a cell runs under the caller's np.errstate (a context
-    # variable that pool threads do not inherit) and no thread is started.
+    # At one worker no pool thread is started.
     threads = []
 
     def spy(operator, image):
@@ -189,6 +188,20 @@ def test_one_worker_runs_the_cells_on_the_calling_thread(monkeypatch):
     threads.clear()
     run_snr_sweep(dataclasses.replace(cfg, workers=2))
     assert len(threads) == 2 and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_run_under_the_callers_errstate(monkeypatch, workers):
+    # numpy keeps np.errstate in a context variable, which a pool thread does
+    # not inherit: each pooled cell runs in a copy of the caller's context.
+    def cell(cfg, case, scheme, snr_db, err_var, *inputs):
+        return [{"over": np.geterr()["over"]}]
+
+    monkeypatch.setattr(sweeps, "_simulate_cell", cell)
+    with np.errstate(over="raise"):
+        rows = run_snr_sweep(small_config(workers=workers))
+    assert [row["over"] for row in rows] == ["raise"] * 4
+    assert np.geterr()["over"] != "raise"
 
 
 @pytest.mark.parametrize("case", ["snr", "csi"])
