@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, budgets, draws, bit planes, QAM, frames, SSIM and filters per call, into a BENCH JSON.
+"""Time the oracle, budgets, draws, bit planes, QAM, frames, SSIM, filters and a sweep per call, into a BENCH JSON.
 
     python3 scripts/bench_layers.py --out BENCH_12.json --label change
     python3 scripts/bench_layers.py --out BENCH_12.json --label change --against ../parent
@@ -9,7 +9,8 @@ the git sha is read from it, so a copy of this script in another checkout
 times that checkout's code. BLAS is held to one thread by
 ``semimo.bench.one_blas_thread``, which also takes where numpy is already
 imported (under pytest), and the host block reads the thread count while
-it holds. Each sample runs the call in a loop that lasts at least 1 ms (the
+it holds; its ``blas_threads_pinned`` lists the count of each loaded
+OpenBLAS read inside the pin (empty without OpenBLAS). Each sample runs the call in a loop that lasts at least 1 ms (the
 ``timeit.Timer.autorange`` idea) and records the time per call and the minor page faults per call
 (the ``getrusage`` ``ru_minflt`` delta of this process over the sample,
 divided by the calls in it); the rounds visit every layer in turn, so a
@@ -24,7 +25,10 @@ run is stored under ``runs[label]`` with the host block and the git sha;
 other labels already in the file are kept. ``empirical_link_budget`` is
 timed for MF and for ZF on the -10 dB draw. ``sweeps._simulate_cell`` is
 timed on the default config for MF at the fixed SNR, as an SNR cell (perfect
-CSI) and as a CSI cell at -10 dB. ``draw_channel_set`` is timed at
+CSI) and as a CSI cell at -10 dB; a cell draws its frames' noise itself, so
+``sweeps.run_snr_sweep`` is also timed whole on the default config (one
+sweep per call, no CSV written), where one noise stream spans the grid's
+frames. ``draw_channel_set`` is timed at
 the default size with perfect CSI and at -10 dB, and ``link_budget`` on the
 -10 dB draw. SSIM is timed against the reference array and against a
 prebuilt ``metrics.Reference``; SSIM's window means
@@ -190,6 +194,12 @@ def _layers(package: str = "semimo"):
             lambda case=case, var=var: sweeps._simulate_cell(
                 cfg, case, lib["precoding"].Scheme.MF, cfg.fixed_snr_db, var, *cell_inputs),
         ))
+    layers.append((
+        "sweeps.run_snr_sweep[default]",
+        {**size, "snr_points": len(cfg.snr_grid_db), "n_channel_trials": cfg.n_channel_trials,
+         "n_frames": cfg.n_frames, "workers": cfg.workers},
+        lambda: sweeps.run_snr_sweep(cfg),
+    ))
     for tag, var in (("perfect", 0.0), ("-10dB", err_var)):
         layers.append((
             f"channel.draw_channel_set[{cfg.n_tx}x{cfg.n_users},{tag}]",
@@ -310,7 +320,8 @@ def _summary(samples, peak_bytes: int, bits: int | None) -> dict:
 def run(against: Path | None = None) -> dict:
     perfbench = _perfbench_run()
     sys.path.insert(0, str(ROOT / "src"))
-    from semimo.bench import one_blas_thread  # imports numpy, which loads OpenBLAS
+    # Imports numpy, which loads OpenBLAS.
+    from semimo.bench import _openblas_controls, one_blas_thread
 
     with one_blas_thread():
         layers = _layers()
@@ -330,6 +341,8 @@ def run(against: Path | None = None) -> dict:
                 for side, record in pair[:: 1 if round_ % 2 == 0 else -1]:
                     record.append(_sample(side, count))
         host = perfbench.host_block()  # inside the pin, so it reads the pinned count
+        # perfbench reads the pin from the environment; this pin sets no variable.
+        host["blas_threads_pinned"] = [get() for get, _ in _openblas_controls()]
     results = {}
     for (name, arguments, _), count, (taken, taken_other), (peak, peak_other) in zip(
             layers, loops, times, peaks):

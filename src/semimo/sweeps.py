@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from contextvars import Context, copy_context
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -29,7 +31,7 @@ from .metrics import (
 )
 from .precoding import BUILDERS as _BUILDERS, Scheme
 from .transceiver import (
-    BitPlaneSource, FrameResult, QamConstellation, split_bit_planes, transmit_frame,
+    BitPlaneSource, FrameResult, QamConstellation, _sweep_noise, split_bit_planes, transmit_frame,
 )
 
 __all__ = [
@@ -153,6 +155,11 @@ def score_frame(
     return scored
 
 
+def _frame_seeds(cfg: ExperimentConfig, entropy: int, trial: int) -> list[SeedSpec]:
+    """The frame seeds of one trial of the cell with ``entropy``, in the order they are sent."""
+    return [SeedSpec(entropy, trial * cfg.n_frames + f) for f in range(cfg.n_frames)]
+
+
 def _simulate_cell(
     cfg: ExperimentConfig, case: str, scheme: Scheme, snr_db: float, err_var: float,
     source, reference, operator, external,
@@ -173,7 +180,7 @@ def _simulate_cell(
     for trial in range(trials):
         result = run_trial(
             cfg, scheme, snr_db, err_var, source, SeedSpec(entropy, trial),
-            [SeedSpec(entropy, trial * cfg.n_frames + f) for f in range(cfg.n_frames)],
+            _frame_seeds(cfg, entropy, trial),
             SeedSpec(entropy ^ 0x5EED, trial) if case == "csi" else None,
         )
         values = {
@@ -219,17 +226,29 @@ def _simulate_cell(
     return rows
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dict]:
     """Run every (snr, err_var, scheme) cell of a sweep, optionally to CSV.
 
-    At one worker the cells run on the calling thread and no pool thread is
-    started; with more, on a pool of ``cfg.workers`` threads, each cell in a
-    copy of the caller's context. So at any worker count a cell runs under
-    the caller's ``np.errstate``, which numpy keeps in a context variable. A
-    frame of more than one block (above 65,536 symbols per stream) draws its
-    noise on a helper thread of its own (``transmit_frame``). Rows always
-    come back in grid order. On a cell failure the rows before it are
-    flushed with an error marker row appended before the exception propagates.
+    At one worker the cells run on the calling thread. Where the process may
+    use two CPUs or more, every frame of the grid then takes its noise from
+    one stream over the grid's frame seeds, in cell, trial and frame order
+    (``transceiver._sweep_noise``): one helper thread draws each frame's noise
+    one block ahead, so the next frame's noise is drawn while a frame is sent
+    and scored. The helper is joined before the sweep returns or raises, and
+    an error from its draw is raised from the cell that needed that frame.
+    With more workers the cells run on a pool of ``cfg.workers`` threads, each
+    cell in a copy of the caller's context, and each frame draws its own
+    noise, as on one CPU (``transmit_frame``: a helper thread only for a frame
+    above 65,536 symbols per stream). So at any worker count a cell runs under
+    the caller's ``np.errstate``, which numpy keeps in a context variable, and
+    the bytes do not depend on the helper. Rows always come back in grid
+    order. On a cell failure the rows before it are flushed with an error
+    marker row appended before the exception propagates.
     """
     source = load_source(cfg)
     # Read-only, so the cells share it under any worker count.
@@ -244,14 +263,23 @@ def _run_grid(cfg: ExperimentConfig, case: str, grid, out_path=None) -> list[dic
 
     rows: list[dict] = []
     try:
-        # Both maps yield in grid order; the pool's cancels the cells not yet
-        # started when one raises. The pool starts no thread until a cell is
-        # submitted to it.
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            ran = (pool.map(Context.run, [copy_context() for _ in cells], [run] * len(cells), cells)
-                   if cfg.workers > 1 else map(run, cells))
-            for cell_rows in ran:
-                rows.extend(cell_rows)
+        if cfg.workers > 1:
+            # The map yields in grid order and cancels the cells not yet
+            # started when one raises.
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                for cell_rows in pool.map(Context.run, [copy_context() for _ in cells],
+                                          [run] * len(cells), cells):
+                    rows.extend(cell_rows)
+        else:
+            seeds = [seed for scheme, snr_db, err_var in cells
+                     for trial in range(cfg.n_channel_trials)
+                     for seed in _frame_seeds(
+                         cfg, cell_entropy(cfg.master_seed, scheme, snr_db, err_var), trial)]
+            # On one usable CPU the helper can only take turns with this
+            # thread: the default SNR sweep took 1.05 of the serial time there.
+            with _sweep_noise(seeds) if _usable_cpus() > 1 else nullcontext():
+                for cell in cells:
+                    rows.extend(run(cell))
     except Exception as exc:
         if out_path is not None:
             marker = {name: "" for name in CSV_COLUMNS}

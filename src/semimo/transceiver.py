@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,98 @@ class FrameResult:
         return self.received.to_image()
 
 
+class _Noise:
+    """The noise of an ordered list of frame seeds, block by block in stream order.
+
+    The frames share the shape of the first one taken. Block b of the frame
+    with seed s draws from ``s.rng(b)``: its real parts, then its imaginary
+    parts. Part 2j + h of the stream, block j's real (h = 0) or imaginary (h
+    = 1) parts, goes into slot (2j + h) % len(slots). A stream of one block
+    has two slots and starts no thread. Otherwise one helper thread draws
+    block j + 1 while block j is sent: its real parts into the third slot, or,
+    where every frame is one block, both halves into a second pair of slots.
+    The helper runs only ``SeedSpec.rng`` and ``standard_normal``. The first
+    frame allocates the slots and starts the helper, on the calling thread;
+    later frames reuse them. Closing joins the helper.
+    """
+
+    def __init__(self, seeds: list[SeedSpec]):
+        self._seeds = seeds
+        self._frames = 0  # frames started
+        self._next = 0  # the next block handed out, counted over the stream
+        self._shape = self._n_blocks = self._total = self._slots = None  # set by the first frame
+        self._halves_ahead = 1  # halves of a block drawn ahead: 2 with four slots
+        self._helper = None
+        self._ahead = None  # the helper's draw of block self._next
+
+    def __enter__(self) -> "_Noise":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._helper is not None:
+            self._helper.shutdown(cancel_futures=True)
+
+    def _part(self, j: int, half: int) -> np.ndarray:
+        n_users, n_symbols = self._shape
+        count = min(_BLOCK, n_symbols - (j % self._n_blocks) * _BLOCK)
+        return self._slots[(2 * j + half) % len(self._slots), : n_users * count].reshape(
+            n_users, count)
+
+    def _draw(self, j: int) -> np.random.Generator:
+        """Block j's generator, with the parts drawn that its slots hold ahead."""
+        rng = self._seeds[j // self._n_blocks].rng(j % self._n_blocks)
+        for half in range(self._halves_ahead):
+            rng.standard_normal(out=self._part(j, half))
+        return rng
+
+    def frame(self, seed: SeedSpec, n_users: int, n_symbols: int):
+        """Yield each block's (real, imaginary) parts, ``(n_users, count)``, of the next frame."""
+        if self._shape is None:
+            self._shape = n_users, n_symbols
+            self._n_blocks = -(-n_symbols // _BLOCK)
+            self._total = len(self._seeds) * self._n_blocks
+            count = 2 if self._total == 1 else 4 if self._n_blocks == 1 else 3
+            self._slots = np.empty((count, n_users * min(_BLOCK, n_symbols)))
+            self._halves_ahead = 2 if count == 4 else 1
+            if self._total > 1:
+                self._helper = ThreadPoolExecutor(max_workers=1)
+        if seed != self._seeds[self._frames] or (n_users, n_symbols) != self._shape:
+            raise RuntimeError(f"frame {seed} of shape {(n_users, n_symbols)} is not the "
+                               "next frame of this noise stream")
+        self._frames += 1
+        # The helper's draw, like the calling thread's, runs in numpy C code
+        # that releases the GIL. It is submitted before the imaginary parts are
+        # drawn, so it starts while the calling thread is itself outside the
+        # GIL; behind the chunk loop it would wait for the GIL first.
+        for _ in range(self._n_blocks):
+            j, ahead = self._next, self._ahead
+            self._next, self._ahead = j + 1, None
+            rng = ahead.result() if ahead is not None else self._draw(j)
+            if self._next < self._total:
+                self._ahead = self._helper.submit(self._draw, self._next)
+            if self._halves_ahead == 1:
+                rng.standard_normal(out=self._part(j, 1))
+            yield self._part(j, 0), self._part(j, 1)
+
+
+# The noise stream of the sweep running in this context (sweeps._run_grid).
+_SWEEP_NOISE: ContextVar[_Noise | None] = ContextVar("_SWEEP_NOISE", default=None)
+
+
+@contextmanager
+def _sweep_noise(seeds: list[SeedSpec]):
+    """Within the block, ``transmit_frame`` takes its noise from one stream over ``seeds``.
+
+    The frames must be sent in the order of ``seeds``, each with its own seed.
+    """
+    with _Noise(seeds) as noise:
+        token = _SWEEP_NOISE.set(noise)
+        try:
+            yield
+        finally:
+            _SWEEP_NOISE.reset(token)
+
+
 def transmit_frame(
     source: BitPlaneSource,
     channel: ChannelSet,
@@ -246,7 +339,12 @@ def transmit_frame(
     the helper. The call holds three half-block slots of normals, each one
     block's real or imaginary parts (12 MiB at 8 streams; two slots for a
     one-block frame), and the received bytes; nothing else is larger than a
-    chunk.
+    chunk. Inside a one-worker sweep (``sweeps._run_grid``) the frame takes
+    its noise from the sweep's one stream over every frame seed instead: the
+    helper also draws the next frame's first block while this frame's last
+    block is sent and scored, both halves of it where every frame is one
+    block (four slots, allocated by the sweep's first frame and reused). The
+    bytes are the same either way.
 
     A user whose effective gain magnitude falls below UNDETECTABLE_GAIN gets
     its plane zeroed and a BER of 0.5 assigned.
@@ -273,41 +371,18 @@ def transmit_frame(
     gains = gains[:, None]
 
     # The call's buffers: the received bytes, slots of one block's real or
-    # imaginary normals and, per block, one chunk's sent bits (a new array per
-    # chunk took 9.4k-10.6k minor faults per default sweep). The received
-    # bytes outlive the call, so they come first: after the normals, they left
-    # perfbench image_transport's peak_rss_mb at 70.2 MB, against 65.1 MB.
-    # Part 2b + h, block b's real (h = 0) or imaginary (h = 1) parts, goes into
-    # slot (2b + h) % len(slots): with three slots, block b + 1's real parts
-    # are drawn while block b is sent.
-    n_blocks = -(-n_symbols // _BLOCK)
+    # imaginary normals (_Noise) and, per block, one chunk's sent bits (a new
+    # array per chunk took 9.4k-10.6k minor faults per default sweep). The
+    # received bytes outlive the call, so they come first: after the normals,
+    # they left perfbench image_transport's peak_rss_mb at 70.2 MB, against
+    # 65.1 MB.
     received = np.empty(n_bits, dtype=np.uint8)
-    slots = np.empty((2 if n_blocks == 1 else 3, n_users * min(_BLOCK, n_symbols)))
     # errors[v]: the pixels whose sent and received bytes differ by XOR v.
     errors = np.zeros(256, dtype=np.intp)
 
-    def part(block: int, half: int) -> np.ndarray:
-        count = min(_BLOCK, n_symbols - block * _BLOCK)
-        return slots[(2 * block + half) % len(slots), : n_users * count].reshape(n_users, count)
-
-    def draw_real(block: int) -> np.random.Generator:
-        """Block ``block``'s generator, with its real parts drawn."""
-        rng = seed.rng(block)
-        rng.standard_normal(out=part(block, 0))
-        return rng
-
-    # The helper's draw, like the calling thread's, runs in numpy C code that
-    # releases the GIL. It is submitted before the imaginary parts are drawn,
-    # so it starts while the calling thread is itself outside the GIL; behind
-    # the chunk loop it would wait for the GIL first.
-    with ThreadPoolExecutor(max_workers=1) if n_blocks > 1 else nullcontext() as helper:
-        ahead = None
-        for block in range(n_blocks):
-            rng = ahead.result() if ahead is not None else draw_real(block)
-            if block + 1 < n_blocks:
-                ahead = helper.submit(draw_real, block + 1)
-            real, imag = part(block, 0), part(block, 1)
-            rng.standard_normal(out=imag)
+    shared = _SWEEP_NOISE.get()
+    with nullcontext(shared) if shared is not None else _Noise([seed]) as stream:
+        for block, (real, imag) in enumerate(stream.frame(seed, n_users, n_symbols)):
             first = block * _BLOCK
             chunks = _pieces(real.shape[1], 16 * n_users)  # 16 bytes per complex symbol and stream
             sent = np.empty((n_users, chunks[0][1] * m), dtype=np.uint8)

@@ -98,12 +98,14 @@ def test_bench_layers_records_each_label(tmp_path, monkeypatch):
         assert run["host"]["cores"] >= 1 and "blas_name" in run["host"]
         if openblas_loaded:  # the pin takes although numpy was imported first
             assert run["host"]["blas_threads_reported"] == 1
+            assert set(run["host"]["blas_threads_pinned"]) == {1}
         assert set(run["layers"]) == {
             "link.empirical_link_budget",
             "link.empirical_link_budget[zf]",
             "link.link_budget[16x8]",
             "sweeps._simulate_cell[snr,mf,15dB]",
             "sweeps._simulate_cell[csi,mf,15dB,-10dB]",
+            "sweeps.run_snr_sweep[default]",
             "channel.draw_channel_set[16x8,perfect]",
             "channel.draw_channel_set[16x8,-10dB]",
             "channel.complex_gaussian[10000x16]",

@@ -1,16 +1,18 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from semimo.channel import SeedSpec, draw_channel_set
-from semimo import sweeps
+from semimo import sweeps, transceiver
 from semimo.config import ExperimentConfig, from_db, to_db
 from semimo.inference import SmoothingDenoiser
 from semimo.metrics import METRIC_NAMES, ExternalMetricError, MetricReport, Reference
@@ -173,7 +175,8 @@ def test_workers_do_not_change_rows(tmp_path):
 
 
 def test_one_worker_runs_the_cells_on_the_calling_thread(monkeypatch):
-    # At one worker no pool thread is started.
+    # At one worker no pool thread is started: the only other thread is the
+    # frame noise helper, which runs nothing but the draws.
     threads = []
 
     def spy(operator, image):
@@ -366,3 +369,113 @@ def test_write_csv_formats_floats_stably(tmp_path):
     data = path.read_text().splitlines()[-1].split(",")
     assert data[CSV_COLUMNS.index("snr_db")] == "1.25"
     assert data[CSV_COLUMNS.index("trial_count")] == "3"
+
+
+# CSV body digests of two small SNR sweeps, recorded with the code before the
+# sweep's frames shared one noise stream (each frame then drew its own): 16
+# one-block 32 x 32 frames, and 4 frames of 400 x 331, two blocks each.
+SWEEP_DIGESTS = {
+    "32x32": (dict(n_channel_trials=2, n_frames=2),
+              "79ad3e0265f06c51b398c554116cbc4c3b7e6fe151865ac6ae0e5ce3951c7e19"),
+    "400x331": (dict(image_width=400, image_height=331, snr_grid_db=(10.0,), n_frames=2),
+                "f3112fe12df6ef1de95690767a527462c44fc97315b2edd5dcd3a88dc215f5b7"),
+}
+
+
+def sweep_digest(path, **kw) -> str:
+    run_snr_sweep(small_config(**kw), path)
+    return hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
+
+
+def count_noise_helpers(monkeypatch) -> list:
+    made = []
+    executor = transceiver.ThreadPoolExecutor
+    monkeypatch.setattr(transceiver, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: made.append(kwargs) or executor(*args, **kwargs))
+    return made
+
+
+class TestSweepNoiseHelper:
+    """At one worker, one helper thread draws each frame's noise one block ahead, across frames."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The helper runs only where the process may use two CPUs.
+        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize(("workers", "cpus", "helpers"), [(1, 2, 1), (2, 2, 0), (1, 1, 0)])
+    def test_one_helper_per_sweep_at_one_worker_on_two_cpus(
+            self, monkeypatch, workers, cpus, helpers):
+        monkeypatch.setattr(sweeps, "_usable_cpus", lambda: cpus)
+        made = count_noise_helpers(monkeypatch)
+        run_snr_sweep(small_config(n_frames=2, workers=workers))  # 8 one-block frames
+        assert made == [{"max_workers": 1}] * helpers
+
+    def test_sweep_leaves_no_thread_running(self, monkeypatch):
+        before = threading.active_count()
+        run_snr_sweep(small_config(n_frames=2))
+        assert threading.active_count() == before
+        report, calls = sweeps.metric_report, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:  # the second cell's first score
+                raise RuntimeError("score failed")
+            return report(*args)
+
+        monkeypatch.setattr(sweeps, "metric_report", failing)
+        with pytest.raises(RuntimeError, match="score failed"):
+            run_snr_sweep(small_config(n_frames=2))
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_cell_that_needs_the_frame(self, monkeypatch, tmp_path):
+        # The second cell's (ZF at 0 dB) first frame is drawn on the helper
+        # while the first cell's last frame is sent and scored.
+        cfg = small_config(n_frames=2)
+        target = SeedSpec(cell_entropy(cfg.master_seed, Scheme.ZF, 0.0, 0.0), 0)
+        raised, callers = [], []
+        rng = SeedSpec.rng
+
+        def failing(self, *subkey):
+            if self == target and subkey == (0,):
+                callers.append(threading.current_thread())
+                raised.append(RuntimeError("frame noise"))
+                raise raised[-1]
+            return rng(self, *subkey)
+
+        monkeypatch.setattr(SeedSpec, "rng", failing)
+        before = threading.active_count()
+        out = tmp_path / "partial.csv"
+        with pytest.raises(RuntimeError, match="frame noise") as info:
+            run_snr_sweep(cfg, out)
+        assert info.value is raised[0]
+        assert callers == [callers[0]] and callers[0] is not threading.current_thread()
+        assert threading.active_count() == before
+        body = out.read_text().split("\n", 2)[2]  # past the two comments
+        rows = list(csv.DictReader(io.StringIO(body)))
+        assert [(row["scheme"], row["recon"]) for row in rows] == [
+            ("mf", "identity"), ("mf", "operator"), ("", "error")]
+        assert rows[-1]["external_metric"] == "frame noise"
+
+    @pytest.mark.parametrize("late", [False, True], ids=["switch-1us", "helper-late"])
+    @pytest.mark.parametrize("size", list(SWEEP_DIGESTS))
+    def test_helper_timing_changes_no_byte(self, late, size, monkeypatch, tmp_path):
+        # As TestFrameHelperThread's test of the same name, over a sweep: the
+        # helper also draws the next frame's first block.
+        caller, rng = threading.current_thread(), SeedSpec.rng
+
+        def slow(self, *subkey):
+            if threading.current_thread() is not caller:
+                time.sleep(0.02)
+            return rng(self, *subkey)
+
+        interval = sys.getswitchinterval()
+        if late:
+            monkeypatch.setattr(SeedSpec, "rng", slow)
+        else:
+            sys.setswitchinterval(1e-6)
+        config, digest = SWEEP_DIGESTS[size]
+        try:
+            assert sweep_digest(tmp_path / "sweep.csv", **config) == digest
+        finally:
+            sys.setswitchinterval(interval)
