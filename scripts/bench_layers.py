@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the oracle, budgets, draws, bit planes, QAM, frames, SSIM, filters and a sweep per call, into a BENCH JSON.
+"""Time the oracle, budgets, draws, bit planes, QAM, frames, SSIM, filters and a sweep into a BENCH JSON.
 
     python3 scripts/bench_layers.py --out BENCH_12.json --label change
     python3 scripts/bench_layers.py --out BENCH_12.json --label change --against ../parent
@@ -10,8 +10,9 @@ times that checkout's code. BLAS is held to one thread by
 ``semimo.bench.one_blas_thread``, which also takes where numpy is already
 imported (under pytest), and the host block reads the thread count while
 it holds; its ``blas_threads_pinned`` lists the count of each loaded
-OpenBLAS read inside the pin (empty without OpenBLAS). Each sample runs the call in a loop that lasts at least 1 ms (the
-``timeit.Timer.autorange`` idea) and records the time per call and the minor page faults per call
+OpenBLAS read inside the pin (empty without OpenBLAS). Each sample runs the
+call in a loop that lasts at least 1 ms (the ``timeit.Timer.autorange``
+idea) and records the time per call and the minor page faults per call
 (the ``getrusage`` ``ru_minflt`` delta of this process over the sample,
 divided by the calls in it); the rounds visit every layer in turn, so a
 spell of host contention falls on all of them. Each layer gets the median,
